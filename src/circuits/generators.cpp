@@ -366,4 +366,24 @@ LatchCircuit make_nand_latch(const Library& lib) {
   return c;
 }
 
+RingOscillatorCircuit make_ring_oscillator(const Library& lib, int inverters) {
+  require(inverters >= 2 && inverters % 2 == 0,
+          "make_ring_oscillator(): inverter count must be even and >= 2");
+  RingOscillatorCircuit c(lib);
+  Netlist& nl = c.netlist;
+  c.en = nl.add_primary_input("en");
+  std::vector<SignalId> ring;
+  for (int i = 0; i <= inverters; ++i) ring.push_back(nl.add_signal(idx_name("r", i)));
+  const std::array<SignalId, 2> kick_in{c.en, ring.back()};
+  (void)nl.add_gate("g_kick", CellKind::kNand2, kick_in, ring[0]);
+  for (int i = 0; i < inverters; ++i) {
+    const std::array<SignalId, 1> ins{ring[static_cast<std::size_t>(i)]};
+    (void)nl.add_gate(idx_name("g_inv", i), CellKind::kInv, ins,
+                      ring[static_cast<std::size_t>(i) + 1]);
+  }
+  c.out = ring.back();
+  nl.mark_primary_output(c.out);
+  return c;
+}
+
 }  // namespace halotis

@@ -122,4 +122,17 @@ struct LatchCircuit {
 };
 [[nodiscard]] LatchCircuit make_nand_latch(const Library& lib);
 
+/// A ring of `inverters` inverters (even, so the NAND2 closing the loop
+/// supplies the ring's inversion) kicked by the primary input `en`.  With
+/// `en` low the ring settles; a rise of `en` starts a self-sustaining
+/// oscillation that only an event budget or a horizon stops.
+struct RingOscillatorCircuit {
+  Netlist netlist;
+  SignalId en, out;
+  RingOscillatorCircuit(const Library& lib) : netlist(lib) {}
+};
+
+[[nodiscard]] RingOscillatorCircuit make_ring_oscillator(const Library& lib,
+                                                         int inverters = 6);
+
 }  // namespace halotis

@@ -1,9 +1,9 @@
 // Canonical stimuli for the paper's experiments: the Fig. 6 / Fig. 7
 // multiplication sequences and the word-stream testbench construction.
 //
-// Both the bench harnesses (bench/) and the reproduction engine
-// (src/repro/) drive circuits with these, so the same sequence named in a
-// figure caption always means the same edges.
+// The reproduction engine (src/repro/), the examples and the tests drive
+// circuits with these, so the same sequence named in a figure caption
+// always means the same edges.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,6 @@ inline std::vector<std::uint64_t> fig6_sequence() { return {0x00, 0x77, 0xA5, 0x
 
 /// The paper's Fig. 7 sequence: 0x0, FxF, 0x0, FxF, 0x0.
 inline std::vector<std::uint64_t> fig7_sequence() { return {0x00, 0xFF, 0x00, 0xFF, 0x00}; }
-
-[[nodiscard]] inline const char* sequence_name(bool fig7) {
-  return fig7 ? "0x0, FxF, 0x0, FxF, 0x0" : "0x0, 7x7, 5xA, Ex6, FxF";
-}
 
 /// Applies `words` to the multiplier inputs, one word every `period` ns
 /// starting at `period` (the first word is the initial state), with the
@@ -76,6 +72,15 @@ inline std::vector<std::uint64_t> fig7_sequence() { return {0x00, 0xFF, 0x00, 0x
       stim.add_edge(inputs[i], start + period * static_cast<double>(k), value);
     }
   }
+  return stim;
+}
+
+/// The ring oscillator's kick: `en` starts low and rises at 1 ns, starting
+/// an oscillation that never settles (the event-budget stress workload).
+[[nodiscard]] inline Stimulus ring_kick_stimulus(const RingOscillatorCircuit& ring) {
+  Stimulus stim(0.4);
+  stim.set_initial(ring.en, false);
+  stim.add_edge(ring.en, 1.0, true);
   return stim;
 }
 

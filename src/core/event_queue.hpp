@@ -15,12 +15,14 @@
 // assigned in creation order, so (time, id) ordering is identical to the
 // paper's (time, seq) ordering.
 //
-// The arity is a compile-time parameter: `EventQueue` is the 4-ary
-// instantiation used by the simulator (shallower tree; the four children
-// of a node share one cache line); the binary instantiation is kept alive
-// for the ablation benchmark (`bench/ablation_event_queue.cpp`).  Pop
-// order is a deterministic total order on (time, id), so every arity pops
-// the same sequence; only the constant factors differ.
+// The heap is 4-ary: a shallower tree than a binary heap, and the four
+// children of a node share one cache line.  Pop order is the deterministic
+// total order on (time, id).
+//
+// The heap operations (push, create, enqueue, dequeue, pop, pop_replacing,
+// cancel, peek, reserve) are defined out of line in event_queue.cpp, so
+// the simulator calls them across the translation-unit boundary; only the
+// small accessors below are inline.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +46,7 @@ struct Event {
 
 enum class EventState : std::uint8_t { kPending, kFired, kCancelled };
 
-template <unsigned kArity>
-class BasicEventQueue {
-  static_assert(kArity >= 2, "a heap needs at least two children per node");
-
+class EventQueue {
  public:
   /// Creates and enqueues an event.  Returns its id.
   EventId push(TimeNs time, TransitionId transition, PinRef target);
@@ -161,6 +160,8 @@ class BasicEventQueue {
     EventState state = EventState::kPending;
   };
 
+  static constexpr std::size_t kArity = 4;
+
   [[nodiscard]] static bool before(const HeapSlot& a, const HeapSlot& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.id < b.id;  // creation order: identical to seq ordering
@@ -175,203 +176,9 @@ class BasicEventQueue {
   }
 
   std::vector<Node> nodes_;      // arena, indexed by EventId
-  std::vector<HeapSlot> heap_;   // d-ary min-heap of scheduled pending events
+  std::vector<HeapSlot> heap_;   // 4-ary min-heap of scheduled pending events
   std::uint64_t cancelled_ = 0;
   std::uint64_t fired_ = 0;
 };
-
-// ---- implementation ---------------------------------------------------------
-// Defined in the header so the simulator's event loop can inline the queue
-// operations (they sit between every pair of kernel steps; an out-of-line
-// call per push/pop costs measurable throughput).
-
-namespace detail {
-constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;
-}
-
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::push(TimeNs time, TransitionId transition,
-                                      PinRef target) {
-  const EventId id = create(time, transition, target);
-  enqueue(id);
-  return id;
-}
-
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::create(TimeNs time, TransitionId transition,
-                                        PinRef target) {
-  const auto raw = static_cast<EventId::underlying_type>(nodes_.size());
-  Node node;
-  node.ev.time = time;
-  node.ev.transition = transition;
-  node.ev.target = target;
-  nodes_.push_back(node);
-  return EventId{raw};
-}
-
-template <unsigned kArity>
-void BasicEventQueue<kArity>::enqueue(EventId id) {
-  const std::uint32_t raw = id.value();
-  Node& node = nodes_[raw];
-  debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
-               "EventQueue::enqueue(): event not pending or already scheduled");
-  heap_.push_back(HeapSlot{node.ev.time, raw});
-  node.heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-}
-
-template <unsigned kArity>
-void BasicEventQueue<kArity>::dequeue(EventId id) {
-  const std::uint32_t raw = id.value();
-  Node& node = nodes_[raw];
-  debug_ensure(node.state == EventState::kPending, "EventQueue::dequeue(): not pending");
-  const std::uint32_t pos = node.heap_pos;
-  debug_ensure(pos != detail::kNoHeapPos && pos < heap_.size() && heap_[pos].id == raw,
-               "EventQueue::dequeue(): event not scheduled");
-  node.heap_pos = detail::kNoHeapPos;
-  remove_at(pos);
-}
-
-template <unsigned kArity>
-void BasicEventQueue<kArity>::reserve(std::size_t expected_events) {
-  nodes_.reserve(expected_events);
-  heap_.reserve(expected_events);
-}
-
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::peek() const {
-  require(!heap_.empty(), "EventQueue::peek(): queue is empty");
-  return EventId{heap_.front().id};
-}
-
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::pop() {
-  require(!heap_.empty(), "EventQueue::pop(): queue is empty");
-  const std::uint32_t raw = heap_.front().id;
-  const HeapSlot last = heap_.back();
-  heap_.pop_back();
-  nodes_[raw].heap_pos = detail::kNoHeapPos;
-  if (!heap_.empty()) {
-    place(0, last);
-    sift_down(0);
-  }
-  nodes_[raw].state = EventState::kFired;
-  ++fired_;
-  return EventId{raw};
-}
-
-template <unsigned kArity>
-EventId BasicEventQueue<kArity>::pop_replacing(EventId next) {
-  require(!heap_.empty(), "EventQueue::pop_replacing(): queue is empty");
-  const std::uint32_t raw = heap_.front().id;
-  nodes_[raw].heap_pos = detail::kNoHeapPos;
-  nodes_[raw].state = EventState::kFired;
-  ++fired_;
-  const std::uint32_t nraw = next.value();
-  Node& node = nodes_[nraw];
-  debug_ensure(node.state == EventState::kPending && node.heap_pos == detail::kNoHeapPos,
-               "EventQueue::pop_replacing(): replacement not pending or already scheduled");
-  place(0, HeapSlot{node.ev.time, nraw});
-  sift_down(0);
-  return EventId{raw};
-}
-
-template <unsigned kArity>
-void BasicEventQueue<kArity>::cancel(EventId id) {
-  require(id.valid() && id.value() < nodes_.size(), "EventQueue::cancel(): invalid id");
-  Node& node = nodes_[id.value()];
-  require(node.state == EventState::kPending,
-          "EventQueue::cancel(): event is not pending");
-  const std::uint32_t pos = node.heap_pos;
-  if (pos != detail::kNoHeapPos) {
-    // Scheduled (a pending-list head): remove the heap entry too.
-    ensure(pos < heap_.size() && heap_[pos].id == id.value(),
-           "EventQueue::cancel(): heap position corrupt");
-    node.heap_pos = detail::kNoHeapPos;
-    remove_at(pos);
-  }
-  node.state = EventState::kCancelled;
-  ++cancelled_;
-}
-
-template <unsigned kArity>
-void BasicEventQueue<kArity>::remove_at(std::size_t pos) {
-  const HeapSlot last = heap_.back();
-  heap_.pop_back();
-  if (pos < heap_.size()) {
-    place(pos, last);
-    // The replacement may need to move either direction.
-    sift_down(pos);
-    sift_up(nodes_[last.id].heap_pos);
-  }
-}
-
-template <unsigned kArity>
-const Event& BasicEventQueue<kArity>::event(EventId id) const {
-  require(id.valid() && id.value() < nodes_.size(), "EventQueue::event(): invalid id");
-  return nodes_[id.value()].ev;
-}
-
-template <unsigned kArity>
-EventState BasicEventQueue<kArity>::state(EventId id) const {
-  require(id.valid() && id.value() < nodes_.size(), "EventQueue::state(): invalid id");
-  return nodes_[id.value()].state;
-}
-
-template <unsigned kArity>
-void BasicEventQueue<kArity>::sift_up(std::size_t index) {
-  const HeapSlot moving = heap_[index];
-  while (index > 0) {
-    const std::size_t parent = (index - 1) / kArity;
-    if (!before(moving, heap_[parent])) break;
-    place(index, heap_[parent]);
-    index = parent;
-  }
-  place(index, moving);
-}
-
-template <unsigned kArity>
-void BasicEventQueue<kArity>::sift_down(std::size_t index) {
-  const std::size_t n = heap_.size();
-  const HeapSlot moving = heap_[index];
-  while (true) {
-    const std::size_t first_child = kArity * index + 1;
-    if (first_child >= n) break;
-    std::size_t smallest;
-    if (first_child + kArity <= n) {
-      if constexpr (kArity == 4) {
-        // Full node: pairwise min tree -- the first two comparisons are
-        // independent, halving the dependency chain of the sequential scan.
-        const std::size_t a =
-            before(heap_[first_child + 1], heap_[first_child]) ? first_child + 1
-                                                               : first_child;
-        const std::size_t b =
-            before(heap_[first_child + 3], heap_[first_child + 2]) ? first_child + 3
-                                                                   : first_child + 2;
-        smallest = before(heap_[b], heap_[a]) ? b : a;
-      } else {
-        smallest = first_child;
-        for (std::size_t child = first_child + 1; child < first_child + kArity; ++child) {
-          if (before(heap_[child], heap_[smallest])) smallest = child;
-        }
-      }
-    } else {
-      smallest = first_child;
-      for (std::size_t child = first_child + 1; child < n; ++child) {
-        if (before(heap_[child], heap_[smallest])) smallest = child;
-      }
-    }
-    if (!before(heap_[smallest], moving)) break;
-    place(index, heap_[smallest]);
-    index = smallest;
-  }
-  place(index, moving);
-}
-
-extern template class BasicEventQueue<2>;
-extern template class BasicEventQueue<4>;
-
-/// The simulator's queue: 4-ary (see the header comment).
-using EventQueue = BasicEventQueue<4>;
 
 }  // namespace halotis

@@ -1,5 +1,6 @@
 #include "src/parsers/stimulus_file.hpp"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -36,6 +37,18 @@ std::uint64_t parse_word(const std::string& token, int line) {
   return parse_unsigned(token, context);
 }
 
+/// Parses a time or slew value that must be finite and non-negative (or
+/// strictly positive): a NaN or Inf edge time would otherwise reach the
+/// kernel, and a non-positive slew would fail there without a line number.
+TimeNs parse_time(const std::string& token, const std::string& context,
+                  std::string_view what, bool positive) {
+  const double value = parse_double(token, context);
+  require(std::isfinite(value) && (positive ? value > 0.0 : value >= 0.0),
+          context + ": " + std::string(what) + " must be finite and " +
+              (positive ? "positive" : "non-negative") + ", got '" + token + "'");
+  return value;
+}
+
 SignalId lookup(const Netlist& netlist, const std::string& name, int line) {
   const auto id = netlist.find_signal(name);
   require(id.has_value(),
@@ -59,10 +72,11 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
   {
     std::istringstream first_pass{std::string(text)};
     std::string l;
-    while (std::getline(first_pass, l)) {
+    for (int n = 1; std::getline(first_pass, l); ++n) {
       const auto tokens = split_whitespace(l.substr(0, l.find('#')));
       if (tokens.size() == 2 && tokens[0] == "slew") {
-        slew = parse_double(tokens[1], "stimulus slew");
+        slew = parse_time(tokens[1], "stimulus line " + std::to_string(n), "slew",
+                          /*positive=*/true);
       }
     }
   }
@@ -88,10 +102,12 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
     if (keyword == "edge") {
       require(tokens.size() == 4 || tokens.size() == 5,
               context + ": edge <signal> <time> <0|1> [tau]");
-      const TimeNs tau = tokens.size() == 5 ? parse_double(tokens[4], context) : 0.0;
-      stimulus.add_edge(lookup(netlist, tokens[1], line_number),
-                        parse_double(tokens[2], context),
-                        parse_unsigned(tokens[3], context) != 0, tau);
+      const SignalId input = lookup(netlist, tokens[1], line_number);
+      const TimeNs time = parse_time(tokens[2], context, "edge time", /*positive=*/false);
+      const bool value = parse_unsigned(tokens[3], context) != 0;
+      const TimeNs tau =
+          tokens.size() == 5 ? parse_time(tokens[4], context, "tau", /*positive=*/false) : 0.0;
+      stimulus.add_edge(input, time, value, tau);
       continue;
     }
     if (keyword == "seq") {
@@ -104,11 +120,11 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
       }
       require(!msb_first.empty(), context + ": seq needs signals");
       require(i + 1 < tokens.size() && tokens[i] == "start", context + ": expected 'start'");
-      const TimeNs start = parse_double(tokens[i + 1], context);
+      const TimeNs start = parse_time(tokens[i + 1], context, "seq start", /*positive=*/false);
       i += 2;
       require(i + 1 < tokens.size() && tokens[i] == "period",
               context + ": expected 'period'");
-      const TimeNs period = parse_double(tokens[i + 1], context);
+      const TimeNs period = parse_time(tokens[i + 1], context, "seq period", /*positive=*/true);
       i += 2;
       require(i < tokens.size() && tokens[i] == "words", context + ": expected 'words'");
       ++i;

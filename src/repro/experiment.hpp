@@ -65,7 +65,7 @@ class ExperimentRegistry {
   [[nodiscard]] const std::vector<Experiment>& experiments() const { return experiments_; }
   [[nodiscard]] const Experiment* find(std::string_view id) const;
 
-  /// The built-in registry: the five paper experiments documented in
+  /// The built-in registry: the six paper experiments documented in
   /// docs/REPRODUCTION.md.
   [[nodiscard]] static ExperimentRegistry builtin();
 

@@ -208,6 +208,14 @@ TEST_F(CliTest, ErrorsAreReportedNotThrown) {
   EXPECT_NE(err_.str().find("unknown model"), std::string::npos);
   EXPECT_EQ(run({"convert", "--netlist", netlist, "--to", "pdf"}), 1);
   EXPECT_EQ(run({"sim"}), 1);  // missing --netlist
+  // Out-of-range stimulus numbers fail at the reader, naming the line.
+  for (const char* stim : {"init a 0\nslew 0\n", "init a 0\nslew -1\n",
+                           "init a 0\nslew nan\n", "init a 0\nslew inf\n",
+                           "init a 0\nedge a inf 1\n"}) {
+    EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", write("bad.stim", stim)}), 1)
+        << stim;
+    EXPECT_NE(err_.str().find("stimulus line 2: "), std::string::npos) << err_.str();
+  }
 }
 
 /// Malformed numeric flags and contradictory --replay combinations are

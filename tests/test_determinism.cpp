@@ -1,33 +1,40 @@
-// Kernel determinism and bounded-memory guarantees (PR 2 acceptance).
+// Kernel determinism and bounded-memory guarantees.
 //
-// The hot-path rework (flattened fanout table, pooled transition
+// The hot-path design (flattened fanout table, pooled transition
 // bookkeeping with reclamation, intrusive pending lists, 4-ary queue) must
 // be invisible in the results: two runs of the same workload -- and the
 // same run under any delay model -- produce bit-identical SimStats and
 // bit-identical signal histories.  These tests lock that in, plus the
 // memory bound: live transition bookkeeping stays far below the total
-// transition count on long stimuli.
+// transition count on long stimuli.  HistoryHashesMatchGolden pins the
+// waveforms themselves against tests/data/history_hashes.txt.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.hpp"
+#include "src/base/supervision.hpp"
 #include "src/circuits/generators.hpp"
+#include "src/circuits/stimuli.hpp"
+#include "src/core/partition.hpp"
 #include "src/core/simulator.hpp"
+#include "src/parsers/bench_format.hpp"
+#include "src/replay/history_hash.hpp"
+#include "src/replay/resim.hpp"
+#include "src/serve/service.hpp"
+#include "src/timing/timing_arc.hpp"
+#include "src/timing/timing_graph.hpp"
+#include "src/tools/cli.hpp"
 
 namespace halotis {
 namespace {
-
-Stimulus multiplier_words(const MultiplierCircuit& mult,
-                          const std::vector<std::uint64_t>& words) {
-  Stimulus stim(0.5);
-  std::vector<SignalId> ab;
-  for (SignalId s : mult.a) ab.push_back(s);
-  for (SignalId s : mult.b) ab.push_back(s);
-  stim.apply_sequence(ab, words, 5.0, 5.0);
-  stim.set_initial(mult.tie0, false);
-  return stim;
-}
 
 void expect_stats_identical(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.events_created, b.events_created);
@@ -81,11 +88,11 @@ TEST_F(DeterminismTest, RepeatedRunsIdenticalAcrossDelayModels) {
         static_cast<const DelayModel*>(&varied)}) {
     MultiplierCircuit mult = make_multiplier(lib_, 4);
     Simulator first(mult.netlist, *model);
-    first.apply_stimulus(multiplier_words(mult, words));
+    first.apply_stimulus(multiplier_stimulus(mult, words));
     const RunResult r1 = first.run();
 
     Simulator second(mult.netlist, *model);
-    second.apply_stimulus(multiplier_words(mult, words));
+    second.apply_stimulus(multiplier_stimulus(mult, words));
     const RunResult r2 = second.run();
 
     SCOPED_TRACE(std::string(model->name()));
@@ -104,11 +111,11 @@ TEST_F(DeterminismTest, EventLimitInterruptionIsDeterministic) {
 
   MultiplierCircuit mult = make_multiplier(lib_, 4);
   Simulator first(mult.netlist, ddm, config);
-  first.apply_stimulus(multiplier_words(mult, words));
+  first.apply_stimulus(multiplier_stimulus(mult, words));
   EXPECT_EQ(first.run().reason, StopReason::kEventLimit);
 
   Simulator second(mult.netlist, ddm, config);
-  second.apply_stimulus(multiplier_words(mult, words));
+  second.apply_stimulus(multiplier_stimulus(mult, words));
   EXPECT_EQ(second.run().reason, StopReason::kEventLimit);
 
   expect_stats_identical(first.stats(), second.stats());
@@ -124,7 +131,7 @@ TEST_F(DeterminismTest, TransitionBookkeepingIsReclaimed) {
 
   MultiplierCircuit mult = make_multiplier(lib_, 4);
   Simulator sim(mult.netlist, ddm);
-  sim.apply_stimulus(multiplier_words(mult, words));
+  sim.apply_stimulus(multiplier_stimulus(mult, words));
   (void)sim.run();
 
   const std::uint64_t created = sim.stats().transitions_created;
@@ -146,7 +153,7 @@ TEST_F(DeterminismTest, IndependentOfHeapLayout) {
 
   MultiplierCircuit mult = make_multiplier(lib_, 4);
   Simulator first(mult.netlist, ddm);
-  first.apply_stimulus(multiplier_words(mult, words));
+  first.apply_stimulus(multiplier_stimulus(mult, words));
   (void)first.run();
 
   // Churn the heap.
@@ -155,11 +162,221 @@ TEST_F(DeterminismTest, IndependentOfHeapLayout) {
   junk.clear();
 
   Simulator second(mult.netlist, ddm);
-  second.apply_stimulus(multiplier_words(mult, words));
+  second.apply_stimulus(multiplier_stimulus(mult, words));
   (void)second.run();
 
   expect_stats_identical(first.stats(), second.stats());
   expect_histories_identical(first, second);
+}
+
+// ---- the history-hash golden -------------------------------------------------
+//
+// Fourteen workloads, one canonical waveform hash each
+// (replay::hash_sim_history), compared in order with
+// tests/data/history_hashes.txt.  Together they cover the serial kernel
+// under both delay models, the partitioned kernel at 1 and 4 threads, an
+// event-budget stop, trace replay and the daemon's service path: any change
+// to event ordering, filtering decisions or float arithmetic changes a
+// hash.
+
+std::string hash_line(std::uint64_t hash) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "\"history_hash\": \"%016" PRIx64 "\"", hash);
+  return buffer;
+}
+
+template <class Sim>
+std::uint64_t run_and_hash(Sim& sim, const Stimulus& stim) {
+  sim.apply_stimulus(stim);
+  (void)sim.run();
+  return replay::hash_sim_history(sim);
+}
+
+std::uint64_t serial_hash(const Netlist& netlist, const DelayModel& model,
+                          const Stimulus& stim,
+                          const RunSupervisor* supervisor = nullptr) {
+  Simulator sim(netlist, model);
+  sim.supervise(supervisor);
+  return run_and_hash(sim, stim);
+}
+
+/// The ring oscillator under DDM, stopped by a 50,000-event budget.  The
+/// stop point is a pure function of the event ordinal, so the surviving
+/// history is deterministic.
+std::uint64_t storm_guard_hash(const Library& lib) {
+  const DdmDelayModel ddm;
+  const RingOscillatorCircuit ring = make_ring_oscillator(lib);
+  RunBudget budget;
+  budget.max_events = 50000;
+  RunSupervisor supervisor(budget);
+  supervisor.arm();
+  Simulator sim(ring.netlist, ddm);
+  sim.supervise(&supervisor);
+  sim.apply_stimulus(ring_kick_stimulus(ring));
+  try {
+    (void)sim.run();
+    ADD_FAILURE() << "ring oscillator finished under an event budget";
+  } catch (const RunError& e) {
+    EXPECT_EQ(e.kind(), RunErrorKind::kBudgetExceeded) << e.what();
+  }
+  return replay::hash_sim_history(sim);
+}
+
+/// Sample 0 of a per-gate variation sweep (sigma 1e-8) on the 8x8
+/// multiplier: {trace-replayed hash, full-simulation hash}.
+std::pair<std::uint64_t, std::uint64_t> replay_sample_hashes(const Library& lib) {
+  const DdmDelayModel ddm;
+  MultiplierCircuit mult = make_multiplier(lib, 8);
+  std::vector<SignalId> inputs = mult.a;
+  inputs.insert(inputs.end(), mult.b.begin(), mult.b.end());
+  Stimulus stim = staggered_random_stimulus(inputs, 4, 424242);
+  stim.set_initial(mult.tie0, false);
+
+  replay::ResimEngine engine(mult.netlist, ddm, stim, SimConfig{});
+  engine.record();
+  TimingGraph corner = engine.base_graph();
+  const std::uint64_t seed = SplitMix64(0x5EEDBA5EULL).next();
+  for (std::uint32_t g = 0; g < static_cast<std::uint32_t>(corner.num_gates()); ++g) {
+    corner.scale_gate_factor(GateId{g}, variation_factor(seed, 1e-8, GateId{g}));
+  }
+
+  replay::ResimSession session(engine);
+  const replay::ResimSample sample = session.evaluate(corner, mult.s, /*want_hash=*/true);
+  EXPECT_FALSE(sample.fallback) << "sample 0 must be replayed, not re-simulated";
+  Simulator full(mult.netlist, ddm, corner, SimConfig{});
+  return {sample.history_hash, run_and_hash(full, stim)};
+}
+
+/// One cold `sim --hash` request through the daemon's service layer (no
+/// elaboration cache): the 8x8 multiplier shipped as .bench text with a
+/// three-word stimulus file.  Returns the response's "history hash:" value.
+std::uint64_t daemon_cold_hash(const Library& lib) {
+  MultiplierCircuit mult = make_multiplier(lib, 8);
+  std::vector<std::string> names;
+  for (const SignalId id : mult.a) names.push_back(mult.netlist.signal(id).name);
+  for (const SignalId id : mult.b) names.push_back(mult.netlist.signal(id).name);
+  const auto words = random_word_stream(16, 3, 0xC0FFEEULL);
+  std::ostringstream stim;
+  stim << "slew 0.5\n";
+  std::vector<bool> value(names.size(), false);
+  for (std::size_t j = 0; j < names.size(); ++j) {
+    value[j] = ((words[0] >> j) & 1) != 0;
+    stim << "init " << names[j] << ' ' << (value[j] ? 1 : 0) << '\n';
+  }
+  double t = 5.0;
+  for (std::size_t i = 1; i < words.size(); ++i, t += 5.0) {
+    for (std::size_t j = 0; j < names.size(); ++j) {
+      const bool v = ((words[i] >> j) & 1) != 0;
+      if (v != value[j]) {
+        stim << "edge " << names[j] << ' ' << t << ' ' << (v ? 1 : 0) << '\n';
+        value[j] = v;
+      }
+    }
+  }
+
+  serve::ServeContext context;
+  serve::RequestIo io;
+  io.files.emplace("mult8.bench", write_bench(mult.netlist));
+  io.files.emplace("mult8.stim", stim.str());
+  std::ostringstream out;
+  std::ostringstream err;
+  const int code = run_cli_service(
+      {"sim", "--netlist", "mult8.bench", "--stim", "mult8.stim", "--hash"}, out, err,
+      &context, &io);
+  EXPECT_EQ(code, 0) << err.str();
+  const std::string text = out.str();
+  const std::size_t at = text.find("history hash: ");
+  EXPECT_NE(at, std::string::npos) << text;
+  return at == std::string::npos ? 0 : std::strtoull(text.c_str() + at + 14, nullptr, 16);
+}
+
+TEST_F(DeterminismTest, HistoryHashesMatchGolden) {
+  const DdmDelayModel ddm;
+  const CdmDelayModel cdm;
+  const DelayModel* const models[] = {&ddm, &cdm};
+  std::vector<std::uint64_t> hashes;
+
+  // The paper's Table 2 workloads: the 4x4 multiplier, Fig. 6 and Fig. 7
+  // sequences.
+  for (const bool fig7 : {false, true}) {
+    MultiplierCircuit mult = make_multiplier(lib_, 4);
+    const Stimulus stim =
+        multiplier_stimulus(mult, fig7 ? fig7_sequence() : fig6_sequence());
+    for (const DelayModel* model : models) {
+      hashes.push_back(serial_hash(mult.netlist, *model, stim));
+    }
+  }
+
+  // The 8x8 multiplier under 12 pseudo-random words.  Supervision may only
+  // abort work: an armed supervisor with no budget near its limit must
+  // leave the DDM waveform untouched.
+  {
+    MultiplierCircuit mult = make_multiplier(lib_, 8);
+    const Stimulus stim =
+        multiplier_stimulus(mult, random_word_stream(16, 12, 0x9E3779B97F4A7C15ULL));
+    for (const DelayModel* model : models) {
+      hashes.push_back(serial_hash(mult.netlist, *model, stim));
+    }
+    RunBudget budget;
+    budget.max_events = ~0ull;
+    budget.max_live_transitions = ~0ull;
+    budget.max_arena_bytes = ~0ull;
+    budget.deadline_s = 3600.0;
+    RunSupervisor supervisor(budget);
+    supervisor.arm();
+    EXPECT_EQ(serial_hash(mult.netlist, ddm, stim, &supervisor), hashes[4])
+        << "an armed supervisor changed a completed run";
+  }
+
+  // A 1500-gate random DAG under 16 words.
+  {
+    RandomCircuit dag = make_random_circuit(lib_, 24, 1500, 12345);
+    hashes.push_back(serial_hash(
+        dag.netlist, ddm,
+        word_stimulus(dag.inputs, random_word_stream(24, 16, 0xD1B54A32D192ED03ULL))));
+  }
+
+  // The 10k-gate layered design under CDM: serial, then partitioned at 1
+  // and 4 threads, all on the windowed path and all bit-identical.
+  {
+    LayeredCircuit circuit = make_layered_circuit(lib_, 100, 100, 7);
+    const TimingGraph timing = TimingGraph::build(circuit.netlist, cdm.timing_policy());
+    const Stimulus stim = staggered_random_stimulus(circuit.inputs, 4, 911);
+    Simulator serial(circuit.netlist, cdm, timing);
+    hashes.push_back(run_and_hash(serial, stim));
+    for (const int threads : {1, 4}) {
+      PartitionedConfig config;
+      config.threads = threads;
+      config.partitions = 4;
+      PartitionedSimulator sim(circuit.netlist, cdm, timing, config);
+      hashes.push_back(run_and_hash(sim, stim));
+      EXPECT_FALSE(sim.window_stats().fell_back_serial) << threads << " threads";
+    }
+    EXPECT_EQ(hashes[8], hashes[7]) << "partitioned (1 thread) != serial";
+    EXPECT_EQ(hashes[9], hashes[7]) << "partitioned (4 threads) != serial";
+  }
+
+  hashes.push_back(storm_guard_hash(lib_));
+
+  const auto [replayed, full] = replay_sample_hashes(lib_);
+  hashes.push_back(replayed);
+  hashes.push_back(full);
+  EXPECT_EQ(replayed, full) << "trace replay diverged from full simulation";
+
+  hashes.push_back(daemon_cold_hash(lib_));
+
+  std::string computed;
+  for (const std::uint64_t hash : hashes) computed += hash_line(hash) + "\n";
+  std::ifstream in(std::filesystem::path(HALOTIS_SOURCE_DIR) / "tests" / "data" /
+                   "history_hashes.txt");
+  ASSERT_TRUE(in.good()) << "tests/data/history_hashes.txt not found";
+  std::string golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') golden += line + "\n";
+  }
+  EXPECT_EQ(computed, golden)
+      << "history hashes differ from tests/data/history_hashes.txt; computed:\n"
+      << computed;
 }
 
 }  // namespace

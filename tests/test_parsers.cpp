@@ -365,6 +365,31 @@ TEST_F(ParsersTest, StimulusErrors) {
   EXPECT_THROW((void)read_stimulus("edge n1 1 0\n", chain.netlist), ContractViolation);
   EXPECT_THROW((void)read_stimulus("bogus directive\n", chain.netlist), ContractViolation);
   EXPECT_THROW((void)read_stimulus("edge in abc 0\n", chain.netlist), ContractViolation);
+
+  // Numeric fields are range-checked at the reader with the line number:
+  // NaN and Inf never reach the kernel, and a non-positive slew no longer
+  // fails deep inside the Simulator.
+  const std::pair<const char*, const char*> bad_values[] = {
+      {"init in 0\nslew 0\n", "stimulus line 2: slew must be finite and positive"},
+      {"init in 0\nslew -1\n", "stimulus line 2: slew must be finite and positive"},
+      {"init in 0\nslew nan\n", "stimulus line 2: slew must be finite and positive"},
+      {"init in 0\nslew inf\n", "stimulus line 2: slew must be finite and positive"},
+      {"slew x\n", "failed to parse number 'x' in stimulus line 1"},
+      {"init in 0\nedge in inf 1\n", "stimulus line 2: edge time must be finite"},
+      {"init in 0\nedge in nan 1\n", "stimulus line 2: edge time must be finite"},
+      {"init in 0\nedge in -1 1\n", "stimulus line 2: edge time must be finite"},
+      {"edge in 1 1 inf\n", "stimulus line 1: tau must be finite"},
+      {"edge in 1 1 -0.5\n", "stimulus line 1: tau must be finite"},
+  };
+  for (const auto& [text, message] : bad_values) {
+    try {
+      (void)read_stimulus(text, chain.netlist);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << "input: " << text << "\ndiagnostic: " << e.what();
+    }
+  }
 }
 
 TEST_F(ParsersTest, StimulusHexWordEdgeCases) {
@@ -391,6 +416,23 @@ TEST_F(ParsersTest, StimulusHexWordEdgeCases) {
   EXPECT_THROW(
       (void)read_stimulus("seq a1 a0 b1 b0 start 5 period 5 words 0X\n", mult.netlist),
       ContractViolation);
+  const std::pair<const char*, const char*> bad_timing[] = {
+      {"seq a1 a0 b1 b0 start inf period 5 words 0x0 0xF\n", "seq start must be finite"},
+      {"seq a1 a0 b1 b0 start nan period 5 words 0x0 0xF\n", "seq start must be finite"},
+      {"seq a1 a0 b1 b0 start 5 period nan words 0x0 0xF\n", "seq period must be finite"},
+      {"seq a1 a0 b1 b0 start 5 period inf words 0x0 0xF\n", "seq period must be finite"},
+      {"seq a1 a0 b1 b0 start 5 period 0 words 0x0 0xF\n", "seq period must be finite"},
+  };
+  for (const auto& [text, message] : bad_timing) {
+    try {
+      (void)read_stimulus(text, mult.netlist);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("stimulus line 1: ") + message),
+                std::string::npos)
+          << "input: " << text << "\ndiagnostic: " << e.what();
+    }
+  }
   // The full 64-bit range itself still parses (low 4 input bits all set).
   const Stimulus wide = read_stimulus(
       "seq a1 a0 b1 b0 start 5 period 5 words 0x0 0xFFFFFFFFFFFFFFFF\n", mult.netlist);

@@ -42,39 +42,6 @@
 namespace halotis {
 namespace {
 
-/// The storm-guard circuit (bench/perf_report.cpp): a NAND-kicked ring of
-/// an even number of inverters.  With `en` low it settles; the rise of
-/// `en` starts a self-sustaining oscillation only a budget can stop.
-struct RingCircuit {
-  Netlist nl;
-  SignalId en;
-  SignalId out;
-
-  explicit RingCircuit(const Library& lib, int inverters = 6) : nl(lib) {
-    en = nl.add_primary_input("en");
-    std::vector<SignalId> ring;
-    for (int i = 0; i <= inverters; ++i) {
-      ring.push_back(nl.add_signal("r" + std::to_string(i)));
-    }
-    const SignalId nand_in[] = {en, ring.back()};
-    nl.add_gate("g_kick", CellKind::kNand2, nand_in, ring[0]);
-    for (int i = 0; i < inverters; ++i) {
-      const SignalId inv_in[] = {ring[static_cast<std::size_t>(i)]};
-      nl.add_gate("g_inv" + std::to_string(i), CellKind::kInv, inv_in,
-                  ring[static_cast<std::size_t>(i) + 1]);
-    }
-    out = ring.back();
-    nl.mark_primary_output(out);
-  }
-
-  [[nodiscard]] Stimulus stimulus() const {
-    Stimulus stim(0.4);
-    stim.set_initial(en, false);
-    stim.add_edge(en, 1.0, true);
-    return stim;
-  }
-};
-
 /// Every test arms through this fixture so a failing assertion cannot
 /// leak an armed site into the next test (the registry is process-global).
 class FailPointTest : public ::testing::Test {
@@ -170,16 +137,16 @@ TEST_F(SupervisionTest, ExitCodeTaxonomyIsDocumentedMapping) {
 TEST_F(SupervisionTest, EventBudgetStopsAtBitIdenticalOrdinal) {
   const Library lib = Library::default_u6();
   const DdmDelayModel ddm;
-  const RingCircuit ring(lib);
+  const RingOscillatorCircuit ring = make_ring_oscillator(lib);
 
   RunBudget budget;
   budget.max_events = 2000;
   const auto run_once = [&](std::vector<Transition>* history) {
     RunSupervisor supervisor(budget);
     supervisor.arm();
-    Simulator sim(ring.nl, ddm);
+    Simulator sim(ring.netlist, ddm);
     sim.supervise(&supervisor);
-    sim.apply_stimulus(ring.stimulus());
+    sim.apply_stimulus(ring_kick_stimulus(ring));
     try {
       (void)sim.run();
       ADD_FAILURE() << "ring oscillator finished under an event budget";
@@ -289,13 +256,13 @@ TEST_F(SupervisionTest, MemoryBudgetsTripAtPolls) {
 TEST_F(SupervisionTest, DeadlineAndCancellationAbortTheRun) {
   const Library lib = Library::default_u6();
   const DdmDelayModel ddm;
-  const RingCircuit ring(lib);
+  const RingOscillatorCircuit ring = make_ring_oscillator(lib);
 
   const auto run_expecting = [&](const RunSupervisor& supervisor,
                                  RunErrorKind expected) {
-    Simulator sim(ring.nl, ddm);
+    Simulator sim(ring.netlist, ddm);
     sim.supervise(&supervisor);
-    sim.apply_stimulus(ring.stimulus());
+    sim.apply_stimulus(ring_kick_stimulus(ring));
     try {
       (void)sim.run();
       ADD_FAILURE() << "expected " << RunError::kind_name(expected);
@@ -324,10 +291,10 @@ TEST_F(SupervisionTest, DeadlineAndCancellationAbortTheRun) {
 TEST_F(SupervisionTest, InjectedArenaAllocationFailureThrowsBadAlloc) {
   const Library lib = Library::default_u6();
   const DdmDelayModel ddm;
-  const RingCircuit ring(lib);
+  const RingOscillatorCircuit ring = make_ring_oscillator(lib);
   FailPoints::instance().arm("alloc.simulator.arena", 1);
-  Simulator sim(ring.nl, ddm);
-  EXPECT_THROW(sim.apply_stimulus(ring.stimulus()), std::bad_alloc);
+  Simulator sim(ring.netlist, ddm);
+  EXPECT_THROW(sim.apply_stimulus(ring_kick_stimulus(ring)), std::bad_alloc);
 }
 
 // ---- crash-safe artifact emission -------------------------------------------
