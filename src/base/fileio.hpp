@@ -1,7 +1,7 @@
 // Crash-safe artifact emission.
 //
-// Every artifact HALOTIS writes (VCD, CSV, REPORT.md, HASHES.txt,
-// BENCH_kernel.json, converted netlists) goes through write_file_atomic:
+// Every artifact HALOTIS writes (VCD, CSV, REPORT.md, HASHES.txt, lint
+// reports, converted netlists) goes through write_file_atomic:
 // write to `<path>.tmp`, flush, verify the stream, close, verify again,
 // then atomically rename over the destination.  A failure at ANY step --
 // disk full mid-write, a failed close, a failed rename -- removes the

@@ -2,10 +2,10 @@
 //
 // One definition serves every hashing consumer -- the waveform history
 // hash (src/replay/history_hash.hpp), repro artifact goldens
-// (src/repro/artifacts), lint finding ids (src/lint), bench/perf_report
-// and the daemon's elaboration-cache key (src/serve) -- so the constants
-// can never drift apart.  All committed goldens (quick hashes, repro
-// hashes, lint ids) are bytes of exactly this function.
+// (src/repro/artifacts), lint finding ids (src/lint) and the daemon's
+// elaboration-cache key (src/serve) -- so the constants can never drift
+// apart.  All committed goldens (history hashes, repro hashes, lint ids)
+// are bytes of exactly this function.
 #pragma once
 
 #include <cstddef>

@@ -53,8 +53,8 @@ class SplitMix64 {
 };
 
 /// Deterministic stream of `count` uniform words of `bits` bits each --
-/// the shared stimulus-word generator for benchmarks and tests (perf_report
-/// workloads and the determinism suite must draw identical streams).
+/// the shared stimulus-word generator for experiments and tests (the
+/// history-hash golden depends on these exact streams).
 inline std::vector<std::uint64_t> random_word_stream(int bits, std::size_t count,
                                                      std::uint64_t seed) {
   require(bits > 0 && bits <= 64, "random_word_stream(): bits must be in [1, 64]");

@@ -1,10 +1,9 @@
 // Extended arithmetic generators beyond the paper's carry-save array:
 // a Wallace-tree multiplier and a carry-lookahead adder.  They share the
-// operand/product port convention of make_multiplier()/make_ripple_adder()
-// and exist mainly for the architecture ablation: reduction-tree
-// multipliers have shorter, more balanced paths, which changes how far
-// glitches travel and therefore how much the conventional model
-// overestimates.
+// operand/product port convention of make_multiplier()/make_ripple_adder().
+// Reduction-tree multipliers have shorter, more balanced paths, which
+// changes how far glitches travel and therefore how much the conventional
+// model overestimates.
 #pragma once
 
 #include "src/circuits/generators.hpp"

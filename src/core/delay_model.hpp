@@ -110,8 +110,9 @@ class DdmDelayModel final : public DelayModel {
 /// essentially never triggered on this workload.  (Pulse collapse at the
 /// output -- a zero-width pulse -- is still annihilated by the engine, which
 /// is where those few filtered events come from.)  `kGateDelay` gives the
-/// strict VHDL-style window and is exercised by the ablation bench; in this
-/// technology it *over*-filters relative to the electrical reference.
+/// strict VHDL-style window (the `cdm-classical` variant of the
+/// glitch_filtering_sweep repro experiment); in this technology it
+/// *over*-filters relative to the electrical reference.
 class CdmDelayModel final : public DelayModel {
  public:
   enum class InertialWindow {
@@ -137,8 +138,7 @@ class CdmDelayModel final : public DelayModel {
 /// Per-instance process variation: wraps any delay model and scales its
 /// delays (and output slopes) by a deterministic per-gate lognormal factor
 /// exp(sigma * z_gate), z_gate ~ N(0,1) derived from (seed, gate id).
-/// Thresholds are left untouched.  Used for Monte-Carlo timing analysis
-/// (ablation_variation bench).
+/// Thresholds are left untouched.  Used for Monte-Carlo timing analysis.
 class VariationDelayModel final : public DelayModel {
  public:
   /// `base` must outlive this model.

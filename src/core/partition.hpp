@@ -112,8 +112,8 @@ struct WindowStats {
   bool fell_back_serial = false;
   /// Sum over windows of the busiest partition's processed-event count:
   /// the event-parallel critical path.  total events / this = the model
-  /// speedup an ideal K-core host would see (reported by perf_report,
-  /// meaningful even on a single-core container).
+  /// speedup an ideal K-core host would see; a balance figure, not a
+  /// measured speedup.
   std::uint64_t critical_path_events = 0;
 };
 

@@ -232,8 +232,8 @@ class Simulator {
   [[nodiscard]] std::vector<SignalId> most_active_signals(std::size_t n) const;
 
   /// Peak number of simultaneously-live transition bookkeeping records
-  /// (perf_report's bounded-memory metric): how large the reclaimable part
-  /// of the transition arena ever got.
+  /// (the bounded-memory metric): how large the reclaimable part of the
+  /// transition arena ever got.
   [[nodiscard]] std::uint64_t peak_live_transitions() const { return peak_live_tracks_; }
   /// Transition bookkeeping records live right now (pending or still
   /// annihilatable / resurrectable transitions).

@@ -1,7 +1,8 @@
 // The canonical order- and bit-sensitive waveform hash.
 //
-// One definition serves bench/perf_report, the replay differential oracle
-// and the variation engine: equal hashes mean bit-identical surviving
+// One definition serves `sim --hash`, the committed history-hash golden
+// (tests/data/history_hashes.txt), the replay differential oracle and the
+// variation engine: equal hashes mean bit-identical surviving
 // waveforms (per-signal transition lists, (edge, t_start, tau) bytes).
 // The replayer reproduces this hash without materializing a Simulator, so
 // the replay-vs-full comparison is exactly "same bytes in, same hash out".

@@ -123,8 +123,9 @@ TEST_F(PaperResults, Fig6DdmTracksReferenceCdmOverestimates) {
 
 TEST_F(PaperResults, Table2SpeedSeparation) {
   // One analog step costs orders of magnitude more than one event: verify
-  // the per-work cost ratio without timing (CPU-time shape is measured in
-  // bench/table2_cputime; here we pin the work counts that drive it).
+  // the per-work cost ratio without timing (the events_processed counts
+  // are also in the mult4_waveforms repro experiment; here we pin the work
+  // ratio that drives the CPU-time separation).
   MultiplierCircuit mult = make_multiplier(lib_, 4);
   const std::vector<std::uint64_t> words{0x00, 0x77, 0xA5, 0x6E, 0xFF};
 

@@ -57,8 +57,8 @@ TEST(ReproRegistry, RejectsDuplicateAndEmptyIds) {
 }
 
 TEST(ReproArtifacts, Fnv1a64AndHexAreStable) {
-  // The offset basis matches bench/perf_report.cpp's history hash so both
-  // tools speak the same hash dialect; these values pin it forever (the
+  // The offset basis matches the kernel history hash (src/base/fnv.hpp)
+  // so both speak the same hash dialect; these values pin it forever (the
   // committed goldens depend on them).
   EXPECT_EQ(repro::fnv1a64(""), 1469598103934665603ULL);
   EXPECT_EQ(repro::fnv1a64("a"), 4953267810257967366ULL);
