@@ -43,9 +43,10 @@ std::uint64_t parse_word(const std::string& token, int line) {
 TimeNs parse_time(const std::string& token, const std::string& context,
                   std::string_view what, bool positive) {
   const double value = parse_double(token, context);
-  require(std::isfinite(value) && (positive ? value > 0.0 : value >= 0.0),
-          context + ": " + std::string(what) + " must be finite and " +
-              (positive ? "positive" : "non-negative") + ", got '" + token + "'");
+  if (!std::isfinite(value) || (positive ? value <= 0.0 : value < 0.0)) {
+    require(false, context + ": " + std::string(what) + " must be finite and " +
+                       (positive ? "positive" : "non-negative") + ", got '" + token + "'");
+  }
   return value;
 }
 
