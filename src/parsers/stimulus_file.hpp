@@ -8,6 +8,9 @@
 //   seq   <sig_msb..sig_lsb> start <t0> period <dt> words <w0> <w1> ...
 // `seq` applies integer words (hex with 0x, else decimal) across the named
 // signals, MSB first, at t0, t0+dt, ...; the first word sets initial values.
+// Every number must be finite; slew and period must be positive, times and
+// tau non-negative.  Anything else throws ContractViolation naming the line
+// ("stimulus line N: ...").
 #pragma once
 
 #include <string_view>

@@ -27,6 +27,17 @@ class ParsersTest : public ::testing::Test {
   }
 };
 
+/// read_stimulus must reject `text` with a diagnostic containing `message`.
+void expect_stimulus_error(const char* text, const Netlist& netlist, const char* message) {
+  try {
+    (void)read_stimulus(text, netlist);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << "input: " << text << "\ndiagnostic: " << e.what();
+  }
+}
+
 TEST_F(ParsersTest, C17BenchMatchesGeneratedC17) {
   const Netlist parsed = read_bench(c17_bench_text(), lib_);
   EXPECT_EQ(parsed.num_gates(), 6u);
@@ -382,13 +393,7 @@ TEST_F(ParsersTest, StimulusErrors) {
       {"edge in 1 1 -0.5\n", "stimulus line 1: tau must be finite"},
   };
   for (const auto& [text, message] : bad_values) {
-    try {
-      (void)read_stimulus(text, chain.netlist);
-      ADD_FAILURE() << "accepted: " << text;
-    } catch (const ContractViolation& e) {
-      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-          << "input: " << text << "\ndiagnostic: " << e.what();
-    }
+    expect_stimulus_error(text, chain.netlist, message);
   }
 }
 
@@ -417,21 +422,19 @@ TEST_F(ParsersTest, StimulusHexWordEdgeCases) {
       (void)read_stimulus("seq a1 a0 b1 b0 start 5 period 5 words 0X\n", mult.netlist),
       ContractViolation);
   const std::pair<const char*, const char*> bad_timing[] = {
-      {"seq a1 a0 b1 b0 start inf period 5 words 0x0 0xF\n", "seq start must be finite"},
-      {"seq a1 a0 b1 b0 start nan period 5 words 0x0 0xF\n", "seq start must be finite"},
-      {"seq a1 a0 b1 b0 start 5 period nan words 0x0 0xF\n", "seq period must be finite"},
-      {"seq a1 a0 b1 b0 start 5 period inf words 0x0 0xF\n", "seq period must be finite"},
-      {"seq a1 a0 b1 b0 start 5 period 0 words 0x0 0xF\n", "seq period must be finite"},
+      {"seq a1 a0 b1 b0 start inf period 5 words 0x0 0xF\n",
+       "stimulus line 1: seq start must be finite"},
+      {"seq a1 a0 b1 b0 start nan period 5 words 0x0 0xF\n",
+       "stimulus line 1: seq start must be finite"},
+      {"seq a1 a0 b1 b0 start 5 period nan words 0x0 0xF\n",
+       "stimulus line 1: seq period must be finite"},
+      {"seq a1 a0 b1 b0 start 5 period inf words 0x0 0xF\n",
+       "stimulus line 1: seq period must be finite"},
+      {"seq a1 a0 b1 b0 start 5 period 0 words 0x0 0xF\n",
+       "stimulus line 1: seq period must be finite"},
   };
   for (const auto& [text, message] : bad_timing) {
-    try {
-      (void)read_stimulus(text, mult.netlist);
-      ADD_FAILURE() << "accepted: " << text;
-    } catch (const ContractViolation& e) {
-      EXPECT_NE(std::string(e.what()).find(std::string("stimulus line 1: ") + message),
-                std::string::npos)
-          << "input: " << text << "\ndiagnostic: " << e.what();
-    }
+    expect_stimulus_error(text, mult.netlist, message);
   }
   // The full 64-bit range itself still parses (low 4 input bits all set).
   const Stimulus wide = read_stimulus(
