@@ -1,6 +1,8 @@
 #include "src/parsers/sdf.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "src/base/check.hpp"
@@ -202,6 +204,7 @@ double parse_delay_number(const std::string& text, int line) {
     std::size_t used = 0;
     const double value = std::stod(text, &used);
     if (used != text.size()) fail(line, "bad delay value '" + text + "'");
+    if (!std::isfinite(value)) fail(line, "non-finite delay value '" + text + "'");
     return value;
   } catch (const ContractViolation&) {
     throw;
@@ -230,13 +233,18 @@ double parse_rvalue(Parser& parser, int open_line) {
   if (fields.size() != 1 && fields.size() != 3) {
     fail(open_line, "delay must be (v) or (min:typ:max), got '(" + text + ")'");
   }
-  // Preference order: typ, then max, then min.
+  // Preference order: typ, then max, then min; every given field must be a
+  // valid delay, used or not.
   const std::vector<std::size_t> order =
       fields.size() == 1 ? std::vector<std::size_t>{0} : std::vector<std::size_t>{1, 2, 0};
+  std::optional<double> chosen;
   for (const std::size_t index : order) {
-    if (!fields[index].empty()) return parse_delay_number(fields[index], open_line);
+    if (fields[index].empty()) continue;
+    const double value = parse_delay_number(fields[index], open_line);
+    if (!chosen.has_value()) chosen = value;
   }
-  fail(open_line, "delay triple '(" + text + ")' has no value");
+  if (!chosen.has_value()) fail(open_line, "delay triple '(" + text + ")' has no value");
+  return *chosen;
 }
 
 double parse_timescale(const std::string& text, int line) {
@@ -251,10 +259,13 @@ double parse_timescale(const std::string& text, int line) {
   }
   std::string unit = text.substr(used);
   for (char& c : unit) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (unit == "ns") return scale;
-  if (unit == "ps") return scale * 1e-3;
-  if (unit == "us") return scale * 1e3;
-  fail(line, "unsupported TIMESCALE unit in '" + text + "' (ns|ps|us)");
+  const double unit_ns = unit == "ns" ? 1.0 : unit == "ps" ? 1e-3 : unit == "us" ? 1e3 : 0.0;
+  if (unit_ns == 0.0) fail(line, "unsupported TIMESCALE unit in '" + text + "' (ns|ps|us)");
+  const double scale_ns = scale * unit_ns;
+  if (!std::isfinite(scale_ns) || !(scale_ns > 0.0)) {
+    fail(line, "TIMESCALE must be finite and positive, got '" + text + "'");
+  }
+  return scale_ns;
 }
 
 int parse_port(const std::string& name, int line) {
@@ -286,8 +297,10 @@ SdfIopath parse_iopath(Parser& parser, int line, const std::string& celltype,
     iopath.fall = parse_rvalue(parser, open.line) * timescale_ns;
   }
   parser.expect_close("after IOPATH delays");
-  if (iopath.rise < 0.0 || iopath.fall < 0.0) {
-    fail(line, "negative IOPATH delay");
+  // Neither NaN nor a finite delay that overflows once scaled may pass.
+  for (const double delay : {iopath.rise, iopath.fall}) {
+    if (!std::isfinite(delay)) fail(line, "IOPATH delay overflows after TIMESCALE");
+    if (!(delay >= 0.0)) fail(line, "negative IOPATH delay");
   }
   return iopath;
 }

@@ -82,6 +82,16 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
     }
   }
   Stimulus stimulus(slew);
+  // Stimulus::add_edge requires time order per input; name the line that
+  // breaks it.
+  const auto check_order = [&](SignalId input, TimeNs time, const std::string& context) {
+    const auto edges = stimulus.edges(input);
+    if (!edges.empty() && time < edges.back().time) {
+      require(false, context + ": edge at " + format_double(time, 6) +
+                         " ns precedes the previous edge of '" + netlist.signal(input).name +
+                         "'");
+    }
+  };
 
   while (std::getline(stream, line)) {
     ++line_number;
@@ -108,6 +118,7 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
       const bool value = parse_unsigned(tokens[3], context) != 0;
       const TimeNs tau =
           tokens.size() == 5 ? parse_time(tokens[4], context, "tau", /*positive=*/false) : 0.0;
+      check_order(input, time, context);
       stimulus.add_edge(input, time, value, tau);
       continue;
     }
@@ -133,6 +144,7 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
       for (; i < tokens.size(); ++i) words.push_back(parse_word(tokens[i], line_number));
       require(!words.empty(), context + ": seq needs at least one word");
 
+      for (const SignalId input : msb_first) check_order(input, start, context);
       std::vector<SignalId> lsb_first(msb_first.rbegin(), msb_first.rend());
       stimulus.apply_sequence(lsb_first, words, start, period);
       continue;

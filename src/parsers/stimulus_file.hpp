@@ -9,8 +9,11 @@
 // `seq` applies integer words (hex with 0x, else decimal) across the named
 // signals, MSB first, at t0, t0+dt, ...; the first word sets initial values.
 // Every number must be finite; slew and period must be positive, times and
-// tau non-negative.  Anything else throws ContractViolation naming the line
-// ("stimulus line N: ...").
+// tau non-negative, and each input's edges in time order.  Anything else
+// throws ContractViolation naming the line ("stimulus line N: ...").  A
+// repeated edge to the value an input already has is dropped; two opposite
+// edges at one instant are kept (a zero-width pulse), as Stimulus::add_edge
+// defines.
 #pragma once
 
 #include <string_view>

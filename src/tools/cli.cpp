@@ -1,12 +1,14 @@
 #include "src/tools/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -17,6 +19,7 @@
 #include "src/base/check.hpp"
 #include "src/base/failpoint.hpp"
 #include "src/base/fileio.hpp"
+#include "src/base/fnv.hpp"
 #include "src/base/strings.hpp"
 #include "src/core/partition.hpp"
 #include "src/core/simulator.hpp"
@@ -25,7 +28,6 @@
 #include "src/lint/lint.hpp"
 #include "src/netlist/library.hpp"
 #include "src/parsers/bench_format.hpp"
-#include "src/parsers/hierarchy.hpp"
 #include "src/parsers/netlist_io.hpp"
 #include "src/parsers/sdf.hpp"
 #include "src/parsers/stimulus_file.hpp"
@@ -55,72 +57,303 @@ struct UsageError : std::runtime_error {
   explicit UsageError(const std::string& what) : std::runtime_error(what) {}
 };
 
-struct Options {
-  std::string command;
-  std::map<std::string, std::string> flags;
+// ---- The flag table: the one place a command or flag is declared. ----
 
-  [[nodiscard]] std::optional<std::string> get(const std::string& name) const {
-    const auto it = flags.find(name);
-    if (it == flags.end()) return std::nullopt;
-    return it->second;
+/// What a flag's value must be.  kPath is any non-empty string (a file, a
+/// socket, a fail-point spec, an id list); kEnum is one of `arg`'s
+/// '|'-separated choices.
+enum class FlagKind : unsigned char { kBool, kNumber, kUnsigned, kPath, kEnum };
+
+/// FlagSpec::traits bits.
+enum FlagTrait : unsigned {
+  kInputFile = 1,   ///< an input file a --connect client ships to the daemon
+  kRequired = 2,
+  kClientSide = 4,  ///< consumed by a --connect client, never forwarded
+  kAboveLo = 8,     ///< the lower bound is exclusive
+  kShared = 16,     ///< a shared group: supervision, --connect, --failpoints
+};
+
+/// One row of the flag table: a flag of each command whose bit is set in
+/// `commands`.  kNumber and kUnsigned values must be finite and lie in
+/// [lo, hi], so every integer cast a command makes is defined.
+struct FlagSpec {
+  unsigned commands;      ///< CommandSpec::bit mask
+  std::string_view name;  ///< without the leading "--"
+  FlagKind kind;
+  std::string_view arg;   ///< usage placeholder ("F", "NS"); a kEnum's choices
+  std::string_view help;
+  unsigned traits = 0;
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::infinity();
+};
+
+struct CommandSpec {
+  std::string_view name;
+  std::string_view summary;
+  unsigned bit;
+};
+
+using enum FlagKind;
+enum : unsigned {
+  kSim = 1, kSta = 2, kFault = 4, kVariation = 8, kAnalog = 16,
+  kLint = 32, kRepro = 64, kConvert = 128, kServe = 256,
+};
+constexpr unsigned kDesign = kSim | kSta | kFault | kVariation | kAnalog | kConvert;
+constexpr unsigned kRoutable = kSim | kSta | kFault | kVariation;  // `halotis serve` runs them
+constexpr unsigned kSupervised = kSim | kFault | kVariation | kLint | kRepro;
+constexpr double kIntMax = std::numeric_limits<int>::max();
+constexpr double kMaxThreads = 4096;
+constexpr double kMaxMiB = 1e9;  // keeps the MiB -> byte casts defined
+
+constexpr CommandSpec kCommands[] = {
+    {"sim", "event-driven timing simulation", kSim},
+    {"sta", "static timing analysis (conventional worst case)", kSta},
+    {"fault", "parallel stuck-at fault campaign / test generation", kFault},
+    {"variation", "Monte-Carlo delay variation (docs/REPLAY.md)", kVariation},
+    {"analog", "transistor-level reference simulation", kAnalog},
+    {"lint", "static hazard / timing analysis (docs/LINT.md)", kLint},
+    {"repro", "paper-reproduction engine (docs/REPRODUCTION.md)", kRepro},
+    {"convert", "netlist conversion / SDF export", kConvert},
+    {"serve", "resident daemon; SIGINT/SIGTERM drain it (docs/DAEMON.md)", kServe},
+};
+
+// A command takes the first row of each name whose mask holds its bit.
+constexpr FlagSpec kFlags[] = {
+    {kDesign, "netlist", kPath, "F", "netlist file", kInputFile | kRequired},
+    {kLint, "netlist", kPath, "F", "netlist file (or a bare F right after lint)",
+     kInputFile | kRequired},
+    {kDesign, "format", kEnum, "bench|verilog|native", "netlist dialect (default: by suffix)"},
+    {kLint, "netlist-format", kEnum, "bench|verilog|native", "netlist dialect"},
+    {kLint, "format", kEnum, "text|json", "report format (default text)"},
+    {kSim | kFault | kVariation | kAnalog, "stim", kPath, "F",
+     "stimulus file (default: quiescent inputs)", kInputFile},
+    {kSim | kFault | kVariation | kLint, "model", kEnum, "ddm|cdm|cdm-classical|transport",
+     "delay model (default ddm)"},
+    {kSim | kVariation | kAnalog, "t-end", kNumber, "NS", "simulation horizon"},
+    {kSim, "sdf", kPath, "F", "back-annotate IOPATH delays (A[,B...] corners with --replay)",
+     kInputFile},
+    {kSta | kLint, "sdf", kPath, "F", "back-annotate IOPATH delays first", kInputFile},
+    {kSta | kLint | kConvert, "slew", kNumber, "NS", "input ramp (default 0.5)", kAboveLo},
+    {kSim, "vcd", kPath, "F", "write a full-design VCD"},
+    {kSim, "report", kBool, "", "switching-activity table (serial kernel only)"},
+    {kSim, "waves", kBool, "", "ASCII waveforms of the primary outputs"},
+    {kSim, "hash", kBool, "", "print the waveform history hash"},
+    {kSim, "threads", kUnsigned, "N", "partitioned kernel unless 1 (0 = all hardware)", 0, 0,
+     kMaxThreads},
+    {kFault | kVariation | kRepro | kServe, "threads", kUnsigned, "N",
+     "worker threads (0 = all hardware)", 0, 0, kMaxThreads},
+    {kSim, "partitions", kUnsigned, "K", "partition count (default: automatic)", 0, 0,
+     std::numeric_limits<std::uint32_t>::max()},
+    {kSim | kVariation, "replay", kBool, "", "re-time a recorded trace, not re-simulate"},
+    {kSta, "per-arc", kBool, "", "dump the elaborated timing-arc table"},
+    {kFault, "period", kNumber, "NS", "output sample period (default 5)", kAboveLo},
+    {kFault, "no-early-exit", kBool, "", "simulate every faulty machine to the end"},
+    {kFault, "atpg", kBool, "", "generate test vectors instead of grading --stim"},
+    {kFault, "candidates", kUnsigned, "N", "ATPG candidate words (default 200)", 0, 1, kIntMax},
+    {kFault | kVariation, "seed", kUnsigned, "N", "random seed (decimal or 0x hex)"},
+    {kVariation, "sigma", kNumber, "S", "lognormal per-gate delay spread (default 0.1)"},
+    {kVariation, "samples", kUnsigned, "N", "Monte-Carlo samples (default 200)", 0, 1},
+    {kVariation | kAnalog, "csv", kPath, "F", "write per-sample / voltage-trace CSV"},
+    {kVariation | kLint | kConvert, "out", kPath, "F", "write the report / netlist here"},
+    {kLint, "fanout-limit", kUnsigned, "N", "largest fanout not reported (default 64)", 0, 0,
+     kIntMax},
+    {kLint, "baseline", kPath, "F", "suppress the findings recorded in F", kInputFile},
+    {kLint, "write-baseline", kPath, "F", "record the findings in F"},
+    {kLint, "fail-on", kEnum, "error|warn|warning|none", "exit 1 at/above (default error)"},
+    {kRepro, "list", kBool, "", "list the registered experiments"},
+    {kRepro, "only", kPath, "ID[,ID...]", "run only these experiments"},
+    {kRepro, "quick", kBool, "", "reduced sizes (the golden-hash mode)"},
+    {kRepro, "out", kPath, "DIR", "artifact directory (default repro-out)"},
+    {kRepro, "golden", kPath, "F", "compare the artifact hashes against F", kInputFile},
+    {kConvert, "to", kEnum, "bench|verilog|native|sdf", "target format", kRequired},
+    {kServe, "socket", kPath, "PATH", "Unix socket to listen on", kRequired},
+    {kServe, "cache-mb", kNumber, "M", "elaboration cache MiB (default 256)", kAboveLo, 0,
+     kMaxMiB},
+    {kServe, "idle-timeout-ms", kUnsigned, "T", "mid-frame stall limit (default 30000)", 0, 0,
+     kIntMax},
+    // The shared groups.
+    {kSupervised, "budget-events", kUnsigned, "N", "exit 3 after N processed events",
+     kShared},
+    {kSupervised, "budget-mem-mb", kNumber, "N", "exit 3 past N MiB of arenas", kShared, 0,
+     kMaxMiB},
+    {kSupervised, "deadline-s", kNumber, "S", "exit 4 after S wall-clock seconds", kShared},
+    {kRoutable, "connect", kPath, "PATH", "run on a `halotis serve` daemon, same output",
+     kShared | kClientSide},
+    {~0U, "failpoints", kPath, "SPEC",
+     "arm fail points, e.g. \"io.write@2;worker.task*\" (or $HALOTIS_FAILPOINTS)",
+     kShared | kClientSide},
+};
+
+const FlagSpec* find_flag(const CommandSpec& command, std::string_view name) {
+  const auto it = std::find_if(std::begin(kFlags), std::end(kFlags), [&](const FlagSpec& f) {
+    return (f.commands & command.bit) != 0 && f.name == name;
+  });
+  return it != std::end(kFlags) ? it : nullptr;
+}
+
+/// "sim, sta, fault and variation": the commands in `mask`.
+std::string command_list(unsigned mask) {
+  std::string joined;
+  for (const CommandSpec& command : kCommands) {
+    if ((command.bit & mask) == 0) continue;
+    if (!joined.empty()) joined += ", ";
+    joined += command.name;
   }
-  [[nodiscard]] std::string require_flag(const std::string& name) const {
-    const auto value = get(name);
-    require(value.has_value(), "missing required flag --" + name);
-    return *value;
+  const std::size_t last = joined.rfind(", ");
+  return last == std::string::npos ? joined : joined.replace(last, 2, " and ");
+}
+
+/// A command line checked against the flag table: each given flag with its
+/// validated, typed value, in argv order.
+struct Options {
+  struct Value {
+    const FlagSpec* spec;
+    std::string text;
+    double number = 0.0;      ///< kNumber and kUnsigned
+    std::uint64_t count = 0;  ///< kUnsigned
+  };
+  const CommandSpec* command;
+  std::vector<Value> values;
+
+  /// The value of a flag, nullptr when absent.  Asking for a flag the
+  /// command does not declare is a bug in this file.
+  [[nodiscard]] const Value* find(std::string_view name) const {
+    ensure(find_flag(*command, name) != nullptr, "Options: flag not in the command's table");
+    const auto it = std::find_if(values.begin(), values.end(),
+                                 [&](const Value& value) { return value.spec->name == name; });
+    return it != values.end() ? &*it : nullptr;
   }
-  [[nodiscard]] double number(const std::string& name, double fallback) const {
-    const auto value = get(name);
-    if (!value.has_value()) return fallback;
-    return parse_double(*value, "--" + name);
+  [[nodiscard]] bool has(std::string_view name) const { return find(name) != nullptr; }
+  /// A kPath / kEnum value, or `fallback` when the flag is absent.
+  [[nodiscard]] std::string text(std::string_view name, std::string_view fallback = {}) const {
+    const Value* value = find(name);
+    return value != nullptr ? value->text : std::string(fallback);
+  }
+  [[nodiscard]] double number(std::string_view name, double fallback) const {
+    const Value* value = find(name);
+    return value != nullptr ? value->number : fallback;
+  }
+  [[nodiscard]] std::uint64_t count(std::string_view name, std::uint64_t fallback) const {
+    const Value* value = find(name);
+    return value != nullptr ? value->count : fallback;
   }
 };
 
-/// Strict unsigned-integer flag parse (decimal or 0x-hex).  Anything that
-/// is not a whole integer -- `--samples 1.5`, `--seed banana`, an empty
-/// value -- is a usage error (exit 2), never a silent clamp through the
-/// double round-trip that `number()` would apply.
-std::uint64_t usage_unsigned(const Options& options, const std::string& name,
-                             std::uint64_t fallback) {
-  const auto value = options.get(name);
-  if (!value.has_value()) return fallback;
-  const std::string& text = *value;
-  int base = 10;
-  std::size_t start = 0;
-  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
-    base = 16;
-    start = 2;
-  }
-  std::uint64_t parsed = 0;
-  const char* first = text.data() + start;
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, parsed, base);
-  if (first == last || ec != std::errc{} || ptr != last) {
-    throw UsageError("--" + name + " expects an unsigned integer, got '" + text + "'");
-  }
-  return parsed;
+[[noreturn]] void bad_value(const FlagSpec& spec, const std::string& text,
+                            const std::string& what) {
+  throw UsageError("--" + std::string(spec.name) + " " + what + ", got '" + text + "'");
 }
 
-[[nodiscard]] std::string hex64(std::uint64_t v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(v));
-  return buffer;
+/// Validates one flag value against its table row.
+Options::Value parse_value(const FlagSpec& spec, std::string text) {
+  Options::Value value{&spec, std::move(text)};
+  const char* first = value.text.data();
+  const char* last = first + value.text.size();
+  if (spec.kind == kEnum) {
+    for (const std::string& option : split(spec.arg, '|')) {
+      if (option == value.text) return value;
+    }
+    bad_value(spec, value.text, "expects " + std::string(spec.arg));
+  }
+  if (spec.kind == kUnsigned) {
+    const bool hex = value.text.size() > 2 && value.text[0] == '0' &&
+                     (value.text[1] == 'x' || value.text[1] == 'X');
+    const auto [ptr, ec] = std::from_chars(first + (hex ? 2 : 0), last, value.count,
+                                           hex ? 16 : 10);
+    if (ec != std::errc{} || ptr != last) {
+      bad_value(spec, value.text, "expects an unsigned integer");
+    }
+    value.number = static_cast<double>(value.count);
+  } else if (spec.kind == kNumber) {
+    const auto [ptr, ec] = std::from_chars(first, last, value.number);
+    if (ec != std::errc{} || ptr != last || !std::isfinite(value.number)) {
+      bad_value(spec, value.text, "expects a finite number");
+    }
+  } else {
+    return value;  // kBool, kPath
+  }
+  if ((spec.traits & kAboveLo) != 0 ? !(value.number > spec.lo) : !(value.number >= spec.lo)) {
+    bad_value(spec, value.text, ((spec.traits & kAboveLo) != 0 ? "must be > " : "must be >= ") +
+                                    format_double(spec.lo, 17));
+  }
+  if (!(value.number <= spec.hi)) {
+    bad_value(spec, value.text, "must be <= " + format_double(spec.hi, 17));
+  }
+  return value;
 }
 
-Options parse_args(const std::vector<std::string>& args) {
-  require(!args.empty(), "no command given");
-  Options options;
-  options.command = args[0];
+/// Levenshtein distance, for the did-you-mean hint on an unknown flag.
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t above = row[j];
+      row[j] = std::min({above + 1, row[j - 1] + 1,
+                         diagonal + (a[i - 1] != b[j - 1] ? 1 : 0)});
+      diagonal = above;
+    }
+  }
+  return row[b.size()];
+}
+
+[[noreturn]] void unknown_flag(const CommandSpec& command, std::string_view name) {
+  if (name == "connect") {
+    throw UsageError("--connect routes " + command_list(kRoutable) + " only (got '" +
+                     std::string(command.name) + "')");
+  }
+  std::string message =
+      "unknown flag --" + std::string(name) + " for " + std::string(command.name);
+  std::size_t best = 3;  // hint only at edit distance <= 2
+  std::string_view hint;
+  for (const FlagSpec& spec : kFlags) {
+    if ((spec.commands & command.bit) == 0) continue;
+    const std::size_t distance = edit_distance(name, spec.name);
+    if (distance < best) {
+      best = distance;
+      hint = spec.name;
+    }
+  }
+  if (!hint.empty()) message += " (did you mean --" + std::string(hint) + "?)";
+  throw UsageError(message);
+}
+
+/// Checks `args` (command first) against the command's table rows.
+Options parse_args(const CommandSpec& command, const std::vector<std::string>& args) {
+  Options options{&command, {}};
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    require(starts_with(arg, "--"), "expected --flag, got '" + arg + "'");
-    const std::string name = arg.substr(2);
-    // Boolean flags (no value) vs valued flags.
-    if (i + 1 < args.size() && !starts_with(args[i + 1], "--")) {
-      options.flags[name] = args[i + 1];
-      ++i;
+    const FlagSpec* spec = nullptr;
+    std::string text;
+    if (starts_with(arg, "--")) {
+      spec = find_flag(command, std::string_view(arg).substr(2));
+      if (spec == nullptr) unknown_flag(command, std::string_view(arg).substr(2));
+      const bool valued = i + 1 < args.size() && !starts_with(args[i + 1], "--");
+      if (spec->kind == kBool && valued) {
+        throw UsageError(arg + " takes no value, got '" + args[i + 1] + "'");
+      }
+      if (spec->kind != kBool && (!valued || args[i + 1].empty())) {
+        throw UsageError(arg + " needs a value");
+      }
+      if (valued) text = args[++i];
+    } else if (i == 1 && command.bit == kLint) {
+      // `halotis lint NETLIST`: the one documented positional form.
+      spec = find_flag(command, "netlist");
+      text = arg;
     } else {
-      options.flags[name] = "1";
+      throw UsageError("unexpected argument '" + arg + "'");
+    }
+    if (options.has(spec->name)) {
+      throw UsageError("--" + std::string(spec->name) + " given twice");
+    }
+    options.values.push_back(parse_value(*spec, std::move(text)));
+  }
+  for (const FlagSpec& spec : kFlags) {
+    if ((spec.commands & command.bit) != 0 && (spec.traits & kRequired) != 0 &&
+        !options.has(spec.name)) {
+      throw UsageError("missing required flag --" + std::string(spec.name));
     }
   }
   return options;
@@ -144,7 +377,7 @@ const Library& default_library() {
   return lib;
 }
 
-/// Builds the run supervisor for sim/fault/repro from the shared budget
+/// Builds the run supervisor for a supervised command from the shared budget
 /// flags (--budget-events, --budget-mem-mb, --deadline-s; 0 / absent =
 /// unlimited) wired to the process-wide SIGINT token -- or, under the
 /// daemon, to the daemon's drain token, so shutdown unwinds in-flight
@@ -153,7 +386,7 @@ const Library& default_library() {
 /// cleanly with exit 5.
 RunSupervisor make_supervisor(const Options& options, const ServiceEnv& env = {}) {
   RunBudget budget;
-  budget.max_events = static_cast<std::uint64_t>(options.number("budget-events", 0.0));
+  budget.max_events = options.count("budget-events", 0);
   budget.max_arena_bytes =
       static_cast<std::uint64_t>(options.number("budget-mem-mb", 0.0) * 1024.0 * 1024.0);
   budget.deadline_s = options.number("deadline-s", 0.0);
@@ -167,26 +400,22 @@ RunSupervisor make_supervisor(const Options& options, const ServiceEnv& env = {}
   return supervisor;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// Reads one named input through the request's virtual filesystem: a
 /// daemon request resolves the path against the files the client shipped
 /// in the request frame (the daemon never opens client paths itself);
-/// local mode reads the real file.  The error text matches read_file, so
-/// responses stay byte-identical to local runs.
+/// local mode (`env` = {}) reads the real file.  The error text is the
+/// same either way, so responses stay byte-identical to local runs.
 std::string read_input(const ServiceEnv& env, const std::string& path) {
   if (env.daemon()) {
     const auto it = env.io->files.find(path);
     require(it != env.io->files.end(), "cannot open '" + path + "'");
     return it->second;
   }
-  return read_file(path);
+  std::ifstream in(path);
+  require(in.good(), "cannot open '" + path + "'");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 /// Publishes one output artifact: collected into the response frame under
@@ -209,85 +438,38 @@ std::string extension_format(const std::string& path) {
   return "native";
 }
 
+/// The netlist dialect: the flag, else the file extension.  lint's
+/// `--format` selects its *report* format, so its dialect flag is
+/// `--netlist-format`.
 std::string detect_format(const Options& options, const std::string& path) {
-  if (const auto fmt = options.get("format")) return *fmt;
-  return extension_format(path);
+  const bool lint = options.command->bit == kLint;
+  return options.text(lint ? "netlist-format" : "format", extension_format(path));
 }
 
-Netlist load_netlist_file(const std::string& path, const std::string& format,
-                          const Library& lib) {
-  const std::string text = read_file(path);
-  if (format == "bench") return read_bench(text, lib);
-  if (format == "verilog") return read_verilog(text, lib);
-  if (format == "native") {
-    // Native files may use the flat or the hierarchical dialect.
-    return looks_hierarchical(text) ? read_hierarchical(text, lib)
-                                    : read_netlist(text, lib);
-  }
-  require(false, "unknown netlist format '" + format + "'");
-  return Netlist(lib);  // unreachable
-}
-
-Netlist load_netlist(const Options& options, const Library& lib) {
-  const std::string path = options.require_flag("netlist");
-  return load_netlist_file(path, detect_format(options, path), lib);
+Netlist load_netlist(const Options& options) {
+  const std::string path = options.text("netlist");
+  return serve::parse_netlist_text(read_input({}, path), detect_format(options, path),
+                                   default_library());
 }
 
 std::unique_ptr<DelayModel> make_model(const Options& options) {
-  const std::string name = options.get("model").value_or("ddm");
+  const std::string name = options.text("model", "ddm");
   if (name == "ddm") return std::make_unique<DdmDelayModel>();
   if (name == "cdm") return std::make_unique<CdmDelayModel>();
   if (name == "cdm-classical") {
     return std::make_unique<CdmDelayModel>(CdmDelayModel::InertialWindow::kGateDelay);
   }
-  if (name == "transport") {
-    return std::make_unique<CdmDelayModel>(CdmDelayModel::InertialWindow::kNone);
-  }
-  require(false, "unknown model '" + name + "' (ddm|cdm|cdm-classical|transport)");
-  return nullptr;  // unreachable
+  return std::make_unique<CdmDelayModel>(CdmDelayModel::InertialWindow::kNone);  // transport
 }
 
 Stimulus load_stimulus(const ServiceEnv& env, const Options& options,
                        const Netlist& netlist) {
-  if (const auto path = options.get("stim")) {
-    return read_stimulus(read_input(env, *path), netlist);
-  }
+  if (options.has("stim")) return read_stimulus(read_input(env, options.text("stim")), netlist);
   return Stimulus(0.5);  // quiescent testbench
 }
 
-/// Elaborates the netlist's TimingGraph under `policy` and, with --sdf,
-/// back-annotates it from the given file (reporting the override count).
-TimingGraph load_timing(const Options& options, const Netlist& netlist,
-                        const TimingPolicy& policy, std::ostream& out) {
-  TimingGraph graph = TimingGraph::build(netlist, policy);
-  if (const auto sdf_path = options.get("sdf")) {
-    const SdfFile sdf = read_sdf(read_file(*sdf_path));
-    const std::size_t applied = apply_sdf(graph, sdf);
-    out << "annotated " << applied << " IOPATH record" << (applied == 1 ? "" : "s")
-        << " from " << *sdf_path;
-    if (!sdf.design.empty()) out << " (design \"" << sdf.design << "\")";
-    out << "\n";
-    // A partial SDF used to keep library delays on the missing arcs without
-    // a trace -- exactly the silent-mismatch the annotation flow exists to
-    // prevent.  Warn per pin (capped), and lint reports the same set as
-    // TIM-SDF-MISSING findings.
-    const std::vector<PinRef> missing = sdf_unannotated_pins(graph);
-    constexpr std::size_t kMaxListed = 20;
-    for (std::size_t i = 0; i < missing.size() && i < kMaxListed; ++i) {
-      out << "warning: sdf: no IOPATH for gate '"
-          << netlist.gate(missing[i].gate).name << "' pin "
-          << sdf_port_name(missing[i].pin) << " -- keeping library delay\n";
-    }
-    if (missing.size() > kMaxListed) {
-      out << "warning: sdf: ... and " << missing.size() - kMaxListed
-          << " more unannotated gate inputs\n";
-    }
-  }
-  return graph;
-}
-
-/// The elaboration path shared by sim / sta / fault / variation in both
-/// modes: parse + TimingGraph::build + optional SDF annotation, keyed off
+/// The elaboration path shared by sim / sta / fault / variation / lint in
+/// both modes: parse + TimingGraph::build + optional SDF annotation, keyed off
 /// the input *bytes*.  Daemon requests consult the keyed LRU cache (a warm
 /// hit skips the whole pipeline); local mode builds fresh.  Both modes run
 /// the identical serve::build_elaboration, so results and console output
@@ -297,13 +479,11 @@ std::shared_ptr<const serve::Elaboration> service_elaboration(const ServiceEnv& 
                                                               const Options& options,
                                                               const TimingPolicy& policy,
                                                               bool want_sdf) {
-  const std::string path = options.require_flag("netlist");
+  const std::string path = options.text("netlist");
   const std::string format = detect_format(options, path);
   const std::string netlist_text = read_input(env, path);
   std::optional<std::string> sdf_text;
-  if (want_sdf) {
-    if (const auto sdf_path = options.get("sdf")) sdf_text = read_input(env, *sdf_path);
-  }
+  if (want_sdf && options.has("sdf")) sdf_text = read_input(env, options.text("sdf"));
   const std::string* sdf_ptr = sdf_text.has_value() ? &*sdf_text : nullptr;
   if (env.ctx != nullptr && env.ctx->cache != nullptr) {
     const std::uint64_t key =
@@ -324,21 +504,8 @@ std::shared_ptr<const serve::Elaboration> service_elaboration(const ServiceEnv& 
 int sim_replay_corners(const ServiceEnv& env, const Options& options,
                        const Netlist& netlist, const DelayModel& model,
                        const Stimulus& stimulus, std::ostream& out) {
-  const auto sdf_flag = options.get("sdf");
-  if (!sdf_flag.has_value()) {
-    throw UsageError("sim --replay needs --sdf corner file(s) to re-time");
-  }
-  if (static_cast<int>(options.number("threads", 1)) != 1 ||
-      options.number("partitions", 0.0) != 0.0) {
-    throw UsageError("sim --replay requires the serial kernel (--threads 1)");
-  }
-  if (options.get("report") || options.get("vcd") || options.get("waves")) {
-    throw UsageError(
-        "sim --replay re-times arrival times and waveform hashes only; "
-        "drop --report/--vcd/--waves");
-  }
   std::vector<std::string> corners;
-  for (const std::string& path : split(*sdf_flag, ',')) {
+  for (const std::string& path : split(options.text("sdf"), ',')) {
     if (!path.empty()) corners.push_back(path);
   }
   if (corners.empty()) throw UsageError("--sdf lists no corner files");
@@ -374,7 +541,7 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
     out << "corner " << path << ": " << applied << " IOPATH record"
         << (applied == 1 ? "" : "s") << ", critical t50 "
         << format_double(sample.critical_t50, 9) << " ns, hash "
-        << hex64(sample.history_hash)
+        << fnv_hex(sample.history_hash)
         << (sample.fallback ? " [full fallback]" : " [replayed]") << "\n";
   }
   if (session.fallbacks() > 0) {
@@ -384,9 +551,28 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
   return 0;
 }
 
+/// The cross-flag rules of `sim` the table cannot express.
+void check_sim_flags(const Options& options) {
+  const bool serial = options.count("threads", 1) == 1 && options.count("partitions", 0) == 0;
+  const bool replay = options.has("replay");
+  if (replay && !options.has("sdf")) {
+    throw UsageError("sim --replay needs --sdf corner file(s) to re-time");
+  }
+  if (replay && !serial) throw UsageError("sim --replay requires the serial kernel (--threads 1)");
+  if (replay && (options.has("report") || options.has("vcd") || options.has("waves"))) {
+    throw UsageError(
+        "sim --replay re-times arrival times and waveform hashes only; "
+        "drop --report/--vcd/--waves");
+  }
+  if (!serial && options.has("report")) {
+    throw UsageError("--report requires the serial kernel (--threads 1)");
+  }
+}
+
 int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
+  check_sim_flags(options);
   const std::unique_ptr<DelayModel> model = make_model(options);
-  const bool replay = options.get("replay").has_value();
+  const bool replay = options.has("replay");
   // One elaborated timing database for the run; --sdf back-annotates it
   // (the third-party-netlist scenario: IOPATH delays replace the library's
   // conventional part, the inertial/degradation treatment stays).  Under
@@ -399,18 +585,15 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
   if (replay) {
     return sim_replay_corners(env, options, netlist, *model, stimulus, out);
   }
-  if (const auto sdf_path = options.get("sdf")) {
-    serve::print_sdf_facts(out, elab->sdf, *sdf_path);
-  }
+  if (options.has("sdf")) serve::print_sdf_facts(out, elab->sdf, options.text("sdf"));
   const TimingGraph& timing = elab->graph;
 
   SimConfig config;
   config.t_end = options.number("t-end", kNeverNs);
   const RunSupervisor supervisor = make_supervisor(options, env);
 
-  const int threads = static_cast<int>(options.number("threads", 1));
-  const auto partitions = static_cast<std::uint32_t>(options.number("partitions", 0));
-  require(threads >= 0, "--threads must be >= 0 (0 = all hardware threads)");
+  const auto threads = static_cast<int>(options.count("threads", 1));
+  const auto partitions = static_cast<std::uint32_t>(options.count("partitions", 0));
 
   const auto print_run = [&](const RunResult& result, const SimStats& stats) {
     out << "model: " << model->name() << "\n";
@@ -429,14 +612,32 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
       out << "  " << netlist.signal(po).name << " = "
           << (sim.final_value(po) ? 1 : 0) << "\n";
     }
+    if (options.has("hash")) {
+      out << "history hash: " << fnv_hex(replay::hash_sim_history(sim)) << "\n";
+    }
+  };
+  const auto print_waves = [&](const auto& sim, const RunResult& result) {
+    if (!options.has("waves")) return;
+    const TimeNs horizon = std::max(result.end_time, 1.0);
+    AsciiPlot plot(0.0, horizon * 1.05, 100);
+    for (const SignalId po : netlist.primary_outputs()) {
+      plot.add_digital(netlist.signal(po).name,
+                       DigitalWaveform::from_transitions(sim.initial_value(po),
+                                                         sim.history(po)));
+    }
+    out << '\n' << plot.render();
+  };
+  const auto write_vcd = [&](const auto& sim) {
+    if (!options.has("vcd")) return;
+    std::ostringstream bytes;
+    vcd_from_simulator(sim).write(bytes);
+    publish_artifact(env, options.text("vcd"), bytes.str(), out);
   };
 
   if (threads != 1 || partitions != 0) {
     // Partitioned parallel kernel: bit-identical history at any thread
-    // count (see src/core/partition.hpp); the analysis flags that consume
-    // the full per-signal database stay serial-only.
-    require(!options.get("report") && !options.get("vcd"),
-            "--report/--vcd require the serial kernel (--threads 1)");
+    // count (see src/core/partition.hpp), so the VCD bytes match too;
+    // --report reads serial-kernel counters and stays serial-only.
     PartitionedConfig pconfig;
     pconfig.threads = threads;
     pconfig.partitions = partitions;
@@ -454,19 +655,8 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
     }
     out << "\n";
     print_finals(sim);
-    if (options.get("hash")) {
-      out << "history hash: " << hex64(replay::hash_sim_history(sim)) << "\n";
-    }
-    if (options.get("waves")) {
-      const TimeNs horizon = std::max(result.end_time, 1.0);
-      AsciiPlot plot(0.0, horizon * 1.05, 100);
-      for (const SignalId po : netlist.primary_outputs()) {
-        plot.add_digital(netlist.signal(po).name,
-                         DigitalWaveform::from_transitions(sim.initial_value(po),
-                                                           sim.history(po)));
-      }
-      out << '\n' << plot.render();
-    }
+    print_waves(sim, result);
+    write_vcd(sim);
     return 0;
   }
 
@@ -495,29 +685,11 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
     }
   }
   print_finals(sim);
-  if (options.get("hash")) {
-    out << "history hash: " << hex64(replay::hash_sim_history(sim)) << "\n";
-  }
-
-  if (options.get("report")) {
+  if (options.has("report")) {
     out << '\n' << format_activity(compute_activity(sim), 20);
   }
-  if (options.get("waves")) {
-    const TimeNs horizon = std::max(result.end_time, 1.0);
-    AsciiPlot plot(0.0, horizon * 1.05, 100);
-    for (const SignalId po : netlist.primary_outputs()) {
-      plot.add_digital(netlist.signal(po).name,
-                       DigitalWaveform::from_transitions(sim.initial_value(po),
-                                                         sim.history(po)));
-    }
-    out << '\n' << plot.render();
-  }
-  if (const auto vcd_path = options.get("vcd")) {
-    const VcdWriter vcd = vcd_from_simulator(sim);
-    std::ostringstream bytes;
-    vcd.write(bytes);
-    publish_artifact(env, *vcd_path, bytes.str(), out);
-  }
+  print_waves(sim, result);
+  write_vcd(sim);
   return 0;
 }
 
@@ -535,17 +707,11 @@ int cmd_variation(const Options& options, std::ostream& out, const ServiceEnv& e
   const Stimulus stimulus = load_stimulus(env, options, netlist);
 
   replay::VariationConfig config;
-  const std::uint64_t samples = usage_unsigned(options, "samples", 200);
-  if (samples < 1) throw UsageError("--samples must be >= 1");
-  config.samples = static_cast<std::size_t>(samples);
-  config.seed = usage_unsigned(options, "seed", 1);
+  config.samples = static_cast<std::size_t>(options.count("samples", 200));
+  config.seed = options.count("seed", 1);
   config.sigma = options.number("sigma", 0.1);
-  if (!(config.sigma >= 0.0)) throw UsageError("--sigma must be >= 0");
-  config.threads = static_cast<int>(options.number("threads", 1));
-  if (config.threads < 0) {
-    throw UsageError("--threads must be >= 0 (0 = all hardware threads)");
-  }
-  config.use_replay = options.get("replay").has_value();
+  config.threads = static_cast<int>(options.count("threads", 1));
+  config.use_replay = options.has("replay");
   config.sim.t_end = options.number("t-end", kNeverNs);
 
   const RunSupervisor supervisor = make_supervisor(options, env);
@@ -560,18 +726,18 @@ int cmd_variation(const Options& options, std::ostream& out, const ServiceEnv& e
         << result.fallbacks << " full fallback" << (result.fallbacks == 1 ? "" : "s")
         << "\n";
   }
-  if (const auto csv_path = options.get("csv")) {
-    publish_artifact(env, *csv_path, replay::format_variation_csv(result), out);
+  if (options.has("csv")) {
+    publish_artifact(env, options.text("csv"), replay::format_variation_csv(result), out);
   }
-  if (const auto report_path = options.get("out")) {
-    publish_artifact(env, *report_path, replay::format_variation_report(result, config),
-                     out);
+  if (options.has("out")) {
+    publish_artifact(env, options.text("out"),
+                     replay::format_variation_report(result, config), out);
   }
   return 0;
 }
 
 int cmd_analog(const Options& options, std::ostream& out) {
-  const Netlist netlist = load_netlist(options, default_library());
+  const Netlist netlist = load_netlist(options);
   const Stimulus stimulus = load_stimulus({}, options, netlist);
   const TimeNs t_end = options.number("t-end", stimulus.last_edge_time() + 10.0);
 
@@ -585,7 +751,7 @@ int cmd_analog(const Options& options, std::ostream& out) {
     out << "  " << netlist.signal(po).name << " = "
         << format_double(sim.voltage(po), 4) << " V\n";
   }
-  if (const auto csv_path = options.get("csv")) {
+  if (options.has("csv")) {
     std::ostringstream csv;
     csv << "t_ns";
     for (const SignalId po : netlist.primary_outputs()) {
@@ -600,8 +766,7 @@ int cmd_analog(const Options& options, std::ostream& out) {
       }
       csv << '\n';
     }
-    write_file_atomic(*csv_path, csv.str());
-    out << "wrote " << *csv_path << "\n";
+    publish_artifact({}, options.text("csv"), csv.str(), out);
   }
   return 0;
 }
@@ -611,70 +776,62 @@ int cmd_sta(const Options& options, std::ostream& out, const ServiceEnv& env) {
   // --sdf analyzes the back-annotated database.
   const std::shared_ptr<const serve::Elaboration> elab =
       service_elaboration(env, options, TimingPolicy{}, /*want_sdf=*/true);
-  if (const auto sdf_path = options.get("sdf")) {
-    serve::print_sdf_facts(out, elab->sdf, *sdf_path);
-  }
+  if (options.has("sdf")) serve::print_sdf_facts(out, elab->sdf, options.text("sdf"));
   const StaticTimingAnalyzer sta(elab->netlist, elab->graph,
                                  options.number("slew", 0.5));
   const TimingReport report = sta.analyze();
   out << StaticTimingAnalyzer::format(report, elab->netlist);
-  if (options.get("per-arc")) {
+  if (options.has("per-arc")) {
     out << '\n' << elab->graph.format_arcs();
   }
   return 0;
 }
 
 int cmd_lint(const Options& options, std::ostream& out) {
-  const Library& lib = default_library();
-  // `--format` selects the *output* format here, so the netlist dialect
-  // comes from `--netlist-format` or the file extension.
-  const std::string netlist_path = options.require_flag("netlist");
-  const std::string netlist_format =
-      options.get("netlist-format").value_or(extension_format(netlist_path));
-  const Netlist netlist = load_netlist_file(netlist_path, netlist_format, lib);
   const std::unique_ptr<DelayModel> model = make_model(options);
   const RunSupervisor supervisor = make_supervisor(options);
+  const std::shared_ptr<const serve::Elaboration> elab =
+      service_elaboration({}, options, model->timing_policy(), /*want_sdf=*/true);
+  const Netlist& netlist = elab->netlist;
+  const TimingGraph& timing = elab->graph;
 
   // SDF annotation progress and per-pin warnings go to the console only in
   // text mode: `--format json` on stdout must stay a pure JSON document
   // (the same information is in the TIM-SDF-MISSING findings).
   std::ostringstream timing_log;
-  const TimingGraph timing =
-      load_timing(options, netlist, model->timing_policy(), timing_log);
+  if (options.has("sdf")) serve::print_sdf_facts(timing_log, elab->sdf, options.text("sdf"));
 
   lint::LintOptions lint_options;
   lint_options.input_slew = options.number("slew", 0.5);
-  lint_options.fanout_limit = static_cast<int>(options.number("fanout-limit", 64.0));
-  lint_options.sdf_coverage = options.get("sdf").has_value();
+  lint_options.fanout_limit = static_cast<int>(options.count("fanout-limit", 64));
+  lint_options.sdf_coverage = options.has("sdf");
   lint_options.supervisor = &supervisor;
   lint::LintReport report = lint::run_lint(netlist, timing, lint_options);
 
-  if (const auto baseline_path = options.get("baseline")) {
-    lint::apply_baseline(report, lint::parse_baseline(read_file(*baseline_path)));
+  if (options.has("baseline")) {
+    lint::apply_baseline(report, lint::parse_baseline(read_input({}, options.text("baseline"))));
   }
-  if (const auto baseline_path = options.get("write-baseline")) {
-    write_file_atomic(*baseline_path, lint::format_baseline(report));
+  if (options.has("write-baseline")) {
+    write_file_atomic(options.text("write-baseline"), lint::format_baseline(report));
   }
 
-  const std::string format = options.get("format").value_or("text");
-  require(format == "text" || format == "json", "--format must be text|json");
+  const std::string format = options.text("format", "text");
   const std::string rendered = format == "json" ? lint::format_json(report, netlist)
                                                 : lint::format_text(report);
-  if (const auto out_path = options.get("out")) {
-    write_file_atomic(*out_path, rendered);
+  if (options.has("out")) {
+    write_file_atomic(options.text("out"), rendered);
     out << timing_log.str();
-    out << "wrote " << *out_path << " (" << report.findings.size() << " finding"
+    out << "wrote " << options.text("out") << " (" << report.findings.size() << " finding"
         << (report.findings.size() == 1 ? "" : "s") << ")\n";
   } else {
     if (format == "text") out << timing_log.str();
     out << rendered;
   }
 
-  const std::string fail_on = options.get("fail-on").value_or("error");
+  const std::string fail_on = options.text("fail-on", "error");
   if (fail_on == "none") return 0;
-  lint::Severity threshold = lint::Severity::kError;
-  if (fail_on == "warn" || fail_on == "warning") threshold = lint::Severity::kWarning;
-  else require(fail_on == "error", "--fail-on must be error|warn|none");
+  const lint::Severity threshold =
+      fail_on == "error" ? lint::Severity::kError : lint::Severity::kWarning;
   return lint::should_fail(report, threshold) ? 1 : 0;
 }
 
@@ -683,14 +840,20 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
   const std::shared_ptr<const serve::Elaboration> elab =
       service_elaboration(env, options, model->timing_policy(), /*want_sdf=*/false);
   const Netlist& netlist = elab->netlist;
-  const int threads = static_cast<int>(options.number("threads", 0));
+  const auto threads = static_cast<int>(options.count("threads", 0));
   const RunSupervisor supervisor = make_supervisor(options, env);
+  const auto print_undetected = [&](const std::vector<Fault>& undetected) {
+    if (undetected.empty()) return;
+    out << "undetected:";
+    for (const Fault& fault : undetected) out << ' ' << fault_name(netlist, fault);
+    out << "\n";
+  };
 
-  if (options.get("atpg")) {
+  if (options.has("atpg")) {
     AtpgOptions atpg;
     atpg.period = options.number("period", 5.0);
-    atpg.max_candidates = static_cast<int>(options.number("candidates", 200));
-    atpg.seed = usage_unsigned(options, "seed", 1);
+    atpg.max_candidates = static_cast<int>(options.count("candidates", 200));
+    atpg.seed = options.count("seed", 1);
     atpg.threads = threads;
     atpg.supervisor = &supervisor;
     const AtpgResult result = generate_tests(netlist, *model, atpg);
@@ -706,41 +869,16 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
       out << buffer;
     }
     out << "\n";
-    if (!result.undetected.empty()) {
-      out << "undetected:";
-      for (const Fault& fault : result.undetected) {
-        out << ' ' << fault_name(netlist, fault);
-      }
-      out << "\n";
-    }
+    print_undetected(result.undetected);
     return 0;
   }
 
   const Stimulus stimulus = load_stimulus(env, options, netlist);
   require(stimulus.last_edge_time() > 0.0, "fault simulation needs a --stim file");
 
-  if (options.get("serial")) {
-    // Legacy engine: per-fault netlist rewiring, full-stimulus replay.
-    FaultSimOptions fs_options;
-    fs_options.sample_period = options.number("period", 5.0);
-    const FaultSimResult result =
-        run_fault_simulation(netlist, stimulus, *model, {}, fs_options);
-    out << "stuck-at coverage: " << result.detected << " / " << result.total << " ("
-        << format_double(100.0 * result.coverage(), 4) << "%) under " << model->name()
-        << " [serial engine]\n";
-    if (!result.undetected.empty()) {
-      out << "undetected:";
-      for (const Fault& fault : result.undetected) {
-        out << ' ' << fault_name(netlist, fault);
-      }
-      out << "\n";
-    }
-    return 0;
-  }
-
   FaultSimOptions sampling;
   sampling.sample_period = options.number("period", 5.0);
-  const bool early_exit = !options.get("no-early-exit");
+  const bool early_exit = !options.has("no-early-exit");
   const auto start = std::chrono::steady_clock::now();
   // The engine runs on the shared elaboration's graph (the daemon's cached
   // one on a warm hit) instead of re-elaborating; verdicts are
@@ -768,20 +906,14 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
     out << "retried: " << result.retried << " faulty run"
         << (result.retried == 1 ? "" : "s") << " after a transient failure\n";
   }
-  if (!result.undetected.empty()) {
-    out << "undetected:";
-    for (const Fault& fault : result.undetected) {
-      out << ' ' << fault_name(netlist, fault);
-    }
-    out << "\n";
-  }
+  print_undetected(result.undetected);
   return result.errors > 0 ? 1 : 0;
 }
 
 int cmd_repro(const Options& options, std::ostream& out) {
   const repro::ExperimentRegistry registry = repro::ExperimentRegistry::builtin();
 
-  if (options.get("list")) {
+  if (options.has("list")) {
     out << "registered experiments:\n";
     for (const repro::Experiment& experiment : registry.experiments()) {
       char line[256];
@@ -794,17 +926,15 @@ int cmd_repro(const Options& options, std::ostream& out) {
   }
 
   repro::RunOptions run_options;
-  run_options.quick = options.get("quick").has_value();
-  run_options.threads = static_cast<int>(options.number("threads", 0));
-  if (const auto only = options.get("only")) {
-    for (const std::string& id : split(*only, ',')) {
-      if (!id.empty()) run_options.only.push_back(id);
-    }
-    require(!run_options.only.empty(), "--only needs at least one experiment id");
+  run_options.quick = options.has("quick");
+  run_options.threads = static_cast<int>(options.count("threads", 0));
+  for (const std::string& id : split(options.text("only"), ',')) {
+    if (!id.empty()) run_options.only.push_back(id);
   }
-  if (const auto golden = options.get("golden")) {
-    run_options.golden_text = read_file(*golden);
+  if (options.has("only") && run_options.only.empty()) {
+    throw UsageError("--only needs at least one experiment id");
   }
+  if (options.has("golden")) run_options.golden_text = read_input({}, options.text("golden"));
   const RunSupervisor supervisor = make_supervisor(options);
   run_options.supervisor = &supervisor;
 
@@ -817,7 +947,7 @@ int cmd_repro(const Options& options, std::ostream& out) {
   // and the flat hash listing (HASHES.txt is byte-compatible with the
   // committed golden file).  All crash-safe: temp file + atomic rename, so
   // an aborted run never leaves a torn artifact behind.
-  const std::filesystem::path out_dir{options.get("out").value_or("repro-out")};
+  const std::filesystem::path out_dir{options.text("out", "repro-out")};
   std::filesystem::create_directories(out_dir);
   for (const repro::ExperimentOutcome& outcome : report.outcomes) {
     std::filesystem::create_directories(out_dir / outcome.id);
@@ -868,8 +998,8 @@ int cmd_repro(const Options& options, std::ostream& out) {
 }
 
 int cmd_convert(const Options& options, std::ostream& out) {
-  const Netlist netlist = load_netlist(options, default_library());
-  const std::string to = options.require_flag("to");
+  const Netlist netlist = load_netlist(options);
+  const std::string to = options.text("to");
   std::string text;
   if (to == "bench") {
     text = write_bench(netlist);
@@ -877,14 +1007,11 @@ int cmd_convert(const Options& options, std::ostream& out) {
     text = write_verilog(netlist);
   } else if (to == "native") {
     text = write_netlist(netlist);
-  } else if (to == "sdf") {
+  } else {  // sdf
     text = write_sdf(netlist, options.number("slew", 0.5));
-  } else {
-    require(false, "unknown target format '" + to + "'");
   }
-  if (const auto path = options.get("out")) {
-    write_file_atomic(*path, text);
-    out << "wrote " << *path << "\n";
+  if (options.has("out")) {
+    publish_artifact({}, options.text("out"), std::move(text), out);
   } else {
     out << text;
   }
@@ -897,15 +1024,11 @@ int cmd_convert(const Options& options, std::ostream& out) {
 /// and reports what it served.
 int cmd_serve(const Options& options, std::ostream& out) {
   serve::ServeOptions serve_options;
-  serve_options.socket_path = options.require_flag("socket");
-  const int threads = static_cast<int>(options.number("threads", 0.0));
-  require(threads >= 0, "--threads must be >= 0 (0 = all hardware threads)");
-  serve_options.threads = threads;
-  const double cache_mb = options.number("cache-mb", 256.0);
-  require(cache_mb > 0.0, "--cache-mb must be > 0");
-  serve_options.cache_bytes = static_cast<std::size_t>(cache_mb * 1024.0 * 1024.0);
-  serve_options.idle_timeout_ms =
-      static_cast<int>(options.number("idle-timeout-ms", 30000.0));
+  serve_options.socket_path = options.text("socket");
+  serve_options.threads = static_cast<int>(options.count("threads", 0));
+  serve_options.cache_bytes =
+      static_cast<std::size_t>(options.number("cache-mb", 256.0) * 1024.0 * 1024.0);
+  serve_options.idle_timeout_ms = static_cast<int>(options.count("idle-timeout-ms", 30000));
   serve_options.stop = cli_cancel_token();
   // SIGTERM drains exactly like Ctrl-C: systemd stop / CI teardown get a
   // clean socket unlink and only whole artifacts.
@@ -940,44 +1063,26 @@ int cmd_serve(const Options& options, std::ostream& out) {
 /// input files to a resident daemon, write the returned artifacts
 /// atomically on this side, relay the captured console bytes -- a
 /// successful exchange is byte-identical to running the command locally.
-int run_connect(const Options& options, const std::vector<std::string>& args,
-                std::ostream& out, std::ostream& err) {
-  const bool routable = options.command == "sim" || options.command == "sta" ||
-                        options.command == "fault" || options.command == "variation";
-  if (!routable) {
-    throw UsageError("--connect routes sim, sta, fault and variation only (got '" +
-                     options.command + "')");
-  }
-  const std::string socket_path = *options.get("connect");
+/// The table decides what ships (the files of kInputFile rows) and what
+/// stays here (kClientSide rows: --connect itself, and --failpoints, already
+/// armed in this process so the io.* sites fire on the client-side writes).
+int run_connect(const Options& options, std::ostream& out, std::ostream& err) {
   std::vector<std::pair<std::string, std::string>> files;
-  const auto ship = [&files](const std::string& path) {
-    files.emplace_back(path, read_file(path));
-  };
-  if (const auto path = options.get("netlist")) ship(*path);
-  if (const auto path = options.get("stim")) ship(*path);
-  if (const auto path = options.get("sdf")) {
-    if (options.command == "sim" && options.get("replay")) {
-      // Replay corners: --sdf lists several files, comma-separated.
-      for (const std::string& corner : split(*path, ',')) {
-        if (!corner.empty()) ship(corner);
-      }
-    } else {
-      ship(*path);
+  std::vector<std::string> forwarded{std::string(options.command->name)};
+  for (const Options::Value& value : options.values) {
+    if ((value.spec->traits & kClientSide) != 0) continue;
+    forwarded.push_back("--" + std::string(value.spec->name));
+    if (value.spec->kind != kBool) forwarded.push_back(value.text);
+    if ((value.spec->traits & kInputFile) == 0) continue;
+    // `sim --replay` corners: --sdf lists several files, comma-separated.
+    const bool corners =
+        value.spec->name == "sdf" && options.command->bit == kSim && options.has("replay");
+    for (const std::string& path : corners ? split(value.text, ',')
+                                           : std::vector<std::string>{value.text}) {
+      if (!path.empty()) files.emplace_back(path, read_input({}, path));
     }
   }
-  // Forward everything but the flags consumed on this side: --connect
-  // itself, and --failpoints (already armed in this process so the io.*
-  // sites fire on the client-side artifact writes; the daemon rejects a
-  // forwarded copy).
-  std::vector<std::string> forwarded;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--connect" || args[i] == "--failpoints") {
-      if (i + 1 < args.size() && !starts_with(args[i + 1], "--")) ++i;
-      continue;
-    }
-    forwarded.push_back(args[i]);
-  }
-  return serve::run_connected(socket_path, forwarded, files, out, err,
+  return serve::run_connected(options.text("connect"), forwarded, files, out, err,
                               &cli_cancel_token());
 }
 
@@ -989,63 +1094,32 @@ const CancelToken& cli_cancel_token() {
 }
 
 std::string cli_usage() {
-  return R"(halotis -- high-accuracy logic timing simulator (IDDM)
-
-usage: halotis <command> [flags]
-
-commands:
-  sim      event-driven timing simulation
-           --netlist F [--format bench|verilog|native] [--stim F]
-           [--model ddm|cdm|cdm-classical|transport] [--t-end NS]
-           [--sdf F] [--vcd F] [--report] [--waves] [--hash]
-           [--threads N] [--partitions K]   (partitioned parallel kernel;
-           N=0 uses all hardware threads, results are bit-identical at
-           every N; --report/--vcd need --threads 1)
-           --sdf A[,B...] --replay   record the causal trace once, re-time
-           each SDF corner through the replayer (docs/REPLAY.md)
-  variation  Monte-Carlo per-gate delay variation (docs/REPLAY.md)
-           --netlist F [--stim F] [--model M] [--sigma S] [--samples N]
-           [--seed N] [--threads N] [--replay] [--csv F] [--out F]
-           --replay re-times a recorded trace per sample; CSV/report
-           artifacts are byte-identical with or without it, at any N
-  analog   transistor-level reference simulation
-           --netlist F [--stim F] [--t-end NS] [--csv F]
-  sta      static timing analysis (conventional worst case)
-           --netlist F [--slew NS] [--sdf F] [--per-arc]
-  lint     static structural / hazard / timing analysis (docs/LINT.md)
-           --netlist F (or: halotis lint F)
-           [--netlist-format bench|verilog|native] [--format text|json]
-           [--sdf F] [--slew NS] [--fanout-limit N] [--out F]
-           [--baseline F] [--write-baseline F] [--fail-on error|warn|none]
-           exit 1 when findings at/above --fail-on survive the baseline
-  fault    parallel stuck-at fault campaign / test generation
-           --netlist F --stim F [--model M] [--period NS]
-           [--threads N] [--serial] [--no-early-exit]
-           --netlist F --atpg [--candidates N] [--seed N] [--threads N]
-  repro    paper-reproduction experiment engine (docs/REPRODUCTION.md)
-           [--list] [--only ID[,ID...]] [--quick] [--out DIR]
-           [--threads N] [--golden F]
-  convert  netlist format conversion / delay annotation export
-           --netlist F --to bench|verilog|native|sdf [--slew NS] [--out F]
-  serve    resident simulation daemon (docs/DAEMON.md)
-           --socket PATH [--threads N] [--cache-mb M] (default 256)
-           keeps a keyed LRU cache of elaborated designs and a pooled
-           simulator per worker; SIGINT/SIGTERM drain gracefully
-           sim, sta, fault and variation accept --connect PATH to route
-           the request through a running daemon -- console output and
-           artifacts are byte-identical to running locally
-
-supervision (sim, variation, fault, repro, lint -- docs/ARCHITECTURE.md):
-  --budget-events N    error out (exit 3) after N processed events
-  --budget-mem-mb N    error out (exit 3) past N MiB of kernel arenas
-  --deadline-s S       error out (exit 4) after S wall-clock seconds
-  --failpoints SPEC    arm fail points, e.g. "io.write@2;worker.task*"
-                       (also read from $HALOTIS_FAILPOINTS); any command
-  Ctrl-C cancels cooperatively (exit 5); artifacts are written via temp
-  file + atomic rename, so no partial file survives any failure.
-
-exit codes: 0 ok, 1 error, 2 usage, 3 budget, 4 deadline, 5 cancelled, 6 I/O
-)";
+  std::string usage =
+      "halotis -- high-accuracy logic timing simulator (IDDM)\n\n"
+      "usage: halotis <command> [flags]\n\ncommands:\n";
+  const auto add_flag = [&usage](const FlagSpec& spec) {
+    std::string synopsis = "    --" + std::string(spec.name);
+    if (!spec.arg.empty()) synopsis += " " + std::string(spec.arg);
+    synopsis.resize(std::max<std::size_t>(synopsis.size() + 2, 30), ' ');
+    usage += synopsis + std::string(spec.help) +
+             ((spec.traits & kRequired) != 0 ? " (required)\n" : "\n");
+  };
+  for (const CommandSpec& command : kCommands) {
+    usage += "  " + std::string(command.name) + " -- " + std::string(command.summary) + "\n";
+    for (const FlagSpec& spec : kFlags) {
+      if ((spec.commands & command.bit) != 0 && (spec.traits & kShared) == 0) add_flag(spec);
+    }
+  }
+  unsigned group = 0;  // the shared groups, each under the commands that take it
+  for (const FlagSpec& spec : kFlags) {
+    if ((spec.traits & kShared) == 0) continue;
+    if (spec.commands != group) usage += "\n" + command_list(group = spec.commands) + ":\n";
+    add_flag(spec);
+  }
+  return usage +
+         "\nCtrl-C cancels cooperatively (exit 5); artifacts are written via temp file +\n"
+         "atomic rename, so no partial file survives any failure.\n\n"
+         "exit codes: 0 ok, 1 error, 2 usage, 3 budget, 4 deadline, 5 cancelled, 6 I/O\n";
 }
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
@@ -1075,53 +1149,51 @@ int run_cli_service(const std::vector<std::string>& args, std::ostream& out,
       out << cli_usage();
       return args.empty() ? 2 : 0;
     }
-    // `halotis lint <netlist>` convenience form: a bare first operand is
-    // the netlist path (the documented house style stays --netlist).
-    std::vector<std::string> expanded = args;
-    if (expanded.size() >= 2 && expanded[0] == "lint" && !starts_with(expanded[1], "--")) {
-      expanded.insert(expanded.begin() + 1, "--netlist");
+    const auto command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                      [&](const CommandSpec& c) { return c.name == args[0]; });
+    if (command == std::end(kCommands)) {
+      err << "unknown command '" << args[0] << "'\n" << cli_usage();
+      return 2;
     }
-    const Options options = parse_args(expanded);
+    const Options options = parse_args(*command, args);
     if (env.daemon()) {
-      // The daemon serves the four commands whose inputs ship in the
-      // request frame and whose elaborations cache; everything else -- and
-      // anything process-global -- is a usage error back to the client.
-      const bool routable = options.command == "sim" || options.command == "sta" ||
-                            options.command == "fault" ||
-                            options.command == "variation";
-      if (!routable) {
-        throw UsageError("daemon serves sim, sta, fault and variation (got '" +
-                         options.command + "')");
+      // The daemon serves the commands whose inputs ship in the request
+      // frame and whose elaborations cache; everything else -- and anything
+      // process-global -- is a usage error back to the client.
+      if ((command->bit & kRoutable) == 0) {
+        throw UsageError("daemon serves " + command_list(kRoutable) + " (got '" + args[0] +
+                         "')");
       }
-      if (options.get("connect")) {
-        throw UsageError("--connect cannot be forwarded through a daemon");
-      }
-      if (options.get("failpoints")) {
-        throw UsageError("--failpoints is process-wide; arm it on the daemon itself");
+      for (const Options::Value& value : options.values) {
+        if ((value.spec->traits & kClientSide) != 0) {
+          throw UsageError("--" + std::string(value.spec->name) +
+                           " is client-side; it cannot be forwarded to a daemon");
+        }
       }
     } else {
       std::string failpoint_spec;
       if (const char* env_spec = std::getenv("HALOTIS_FAILPOINTS")) {
         failpoint_spec = env_spec;
       }
-      if (const auto flag = options.get("failpoints")) failpoint_spec = *flag;
+      if (options.has("failpoints")) failpoint_spec = options.text("failpoints");
       if (!failpoint_spec.empty()) {
         FailPoints::instance().arm_spec(failpoint_spec);
         armed_failpoints = true;
       }
-      if (options.get("connect")) return run_connect(options, expanded, out, err);
+      if ((command->bit & kRoutable) != 0 && options.has("connect")) {
+        return run_connect(options, out, err);
+      }
     }
-    if (options.command == "sim") return cmd_sim(options, out, env);
-    if (options.command == "variation") return cmd_variation(options, out, env);
-    if (options.command == "analog") return cmd_analog(options, out);
-    if (options.command == "sta") return cmd_sta(options, out, env);
-    if (options.command == "lint") return cmd_lint(options, out);
-    if (options.command == "fault") return cmd_fault(options, out, env);
-    if (options.command == "repro") return cmd_repro(options, out);
-    if (options.command == "convert") return cmd_convert(options, out);
-    if (options.command == "serve") return cmd_serve(options, out);
-    err << "unknown command '" << options.command << "'\n" << cli_usage();
-    return 2;
+    const std::string_view name = command->name;
+    if (name == "sim") return cmd_sim(options, out, env);
+    if (name == "variation") return cmd_variation(options, out, env);
+    if (name == "analog") return cmd_analog(options, out);
+    if (name == "sta") return cmd_sta(options, out, env);
+    if (name == "lint") return cmd_lint(options, out);
+    if (name == "fault") return cmd_fault(options, out, env);
+    if (name == "repro") return cmd_repro(options, out);
+    if (name == "convert") return cmd_convert(options, out);
+    return cmd_serve(options, out);
   } catch (const UsageError& e) {
     err << "usage error: " << e.what() << "\n" << cli_usage();
     return 2;

@@ -1,27 +1,7 @@
 // The `halotis` command-line driver, as a library so tests can exercise it.
-//
-// Subcommands:
-//   sim     --netlist F [--stim F] [--model ddm|cdm|transport] [--t-end NS]
-//           [--sdf F] [--vcd F] [--report] [--waves]
-//                                               event-driven simulation
-//                                               (--sdf back-annotates the
-//                                               timing database first)
-//   analog  --netlist F [--stim F] [--t-end NS] [--csv F]
-//                                               transistor-level reference
-//   sta     --netlist F [--slew NS] [--sdf F] [--per-arc]
-//                                               static timing analysis over
-//                                               the elaborated TimingGraph
-//   fault   --netlist F --stim F [--model M]    stuck-at fault simulation
-//   repro   [--list] [--only ID[,...]] [--quick] [--out DIR] [--golden F]
-//                                               paper-reproduction engine
-//   convert --netlist F --to bench|verilog|native|sdf [--out F]
-//   serve   --socket PATH [--threads N] [--cache-mb M]
-//                                               resident daemon; sim / sta /
-//                                               fault / variation requests
-//                                               route to it via --connect
-//
-// Netlist formats are detected from the file extension (.bench, .v,
-// anything else = native) unless --format overrides.
+// Every command and flag is declared once, in the flag table in cli.cpp;
+// parsing, validation, `halotis help` and --connect forwarding all derive
+// from it.
 #pragma once
 
 #include <iosfwd>
@@ -58,7 +38,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
 int run_cli_service(const std::vector<std::string>& args, std::ostream& out,
                     std::ostream& err, serve::ServeContext* context, serve::RequestIo* io);
 
-/// Usage text.
+/// Usage text, rendered from the flag table: each command's own flags,
+/// then each shared group under the commands that take it.
 [[nodiscard]] std::string cli_usage();
 
 }  // namespace halotis

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/base/check.hpp"
+#include "src/core/partition.hpp"
 #include "src/core/simulator.hpp"
 
 namespace halotis {
@@ -65,7 +66,10 @@ std::string VcdWriter::to_string() const {
   return stream.str();
 }
 
-VcdWriter vcd_from_simulator(const Simulator& sim, std::span<const SignalId> signals,
+namespace {
+
+template <class Sim>
+VcdWriter vcd_from_histories(const Sim& sim, std::span<const SignalId> signals,
                              std::string module_name) {
   VcdWriter vcd(std::move(module_name));
   const Netlist& netlist = sim.netlist();
@@ -82,6 +86,18 @@ VcdWriter vcd_from_simulator(const Simulator& sim, std::span<const SignalId> sig
     for (const SignalId id : signals) add(id);
   }
   return vcd;
+}
+
+}  // namespace
+
+VcdWriter vcd_from_simulator(const Simulator& sim, std::span<const SignalId> signals,
+                             std::string module_name) {
+  return vcd_from_histories(sim, signals, std::move(module_name));
+}
+
+VcdWriter vcd_from_simulator(const PartitionedSimulator& sim,
+                             std::span<const SignalId> signals, std::string module_name) {
+  return vcd_from_histories(sim, signals, std::move(module_name));
 }
 
 }  // namespace halotis

@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include "src/tools/cli.hpp"
@@ -94,11 +97,26 @@ TEST_F(CliTest, SimThreadsRunsPartitionedKernel) {
   EXPECT_EQ(line(parallel, "finished at"), line(serial, "finished at"));
   EXPECT_EQ(line(parallel, "y ="), line(serial, "y ="));
 
-  // Serial-only analyses are rejected up front under --threads.
+  // The serial-only activity report is a usage error under --threads.
   EXPECT_EQ(run({"sim", "--netlist", netlist, "--stim", stim, "--threads", "2",
                  "--report"}),
-            1);
+            2);
   EXPECT_NE(err_.str().find("--threads 1"), std::string::npos);
+
+  // The partitioned kernel's VCD is byte-identical to the serial one.
+  const auto vcd_bytes = [&](const std::vector<std::string>& extra) {
+    const std::string vcd = (dir_ / "out.vcd").string();
+    std::vector<std::string> args{"sim", "--netlist", netlist, "--stim", stim, "--vcd", vcd};
+    args.insert(args.end(), extra.begin(), extra.end());
+    EXPECT_EQ(run(args), 0) << err_.str();
+    std::ifstream file(vcd);
+    std::stringstream content;
+    content << file.rdbuf();
+    return content.str();
+  };
+  const std::string serial_vcd = vcd_bytes({});
+  EXPECT_NE(serial_vcd.find("$enddefinitions"), std::string::npos);
+  EXPECT_EQ(vcd_bytes({"--threads", "2", "--partitions", "2"}), serial_vcd);
 }
 
 TEST_F(CliTest, SimWritesVcd) {
@@ -136,7 +154,7 @@ TEST_F(CliTest, FaultReportsCoverage) {
   EXPECT_NE(out_.str().find("stuck-at coverage"), std::string::npos);
 }
 
-TEST_F(CliTest, FaultCampaignMatchesSerialEngine) {
+TEST_F(CliTest, FaultCampaignRunsAndSerialEngineIsGone) {
   const std::string netlist = write("and2.bench", kBench);
   const std::string stim = write("and2.stim", kStim);
 
@@ -147,10 +165,11 @@ TEST_F(CliTest, FaultCampaignMatchesSerialEngine) {
       campaign_out.substr(0, campaign_out.find(") under") + 1);
   EXPECT_NE(coverage.find("stuck-at coverage"), std::string::npos);
 
-  EXPECT_EQ(run({"fault", "--netlist", netlist, "--stim", stim, "--serial"}), 0);
-  EXPECT_NE(out_.str().find("[serial engine]"), std::string::npos);
-  // Same coverage line from both engines.
-  EXPECT_NE(out_.str().find(coverage), std::string::npos);
+  // The campaign is the one fault engine; test_campaign pins its verdicts
+  // fault for fault against run_fault_simulation.
+  EXPECT_EQ(run({"fault", "--netlist", netlist, "--stim", stim, "--serial"}), 2);
+  EXPECT_NE(err_.str().find("unknown flag --serial for fault"), std::string::npos)
+      << err_.str();
 }
 
 TEST_F(CliTest, FaultAtpgGeneratesVectors) {
@@ -204,10 +223,14 @@ TEST_F(CliTest, ErrorsAreReportedNotThrown) {
   EXPECT_EQ(run({"sim", "--netlist", "/nonexistent/file.bench"}), 1);
   EXPECT_NE(err_.str().find("error:"), std::string::npos);
   const std::string netlist = write("and2.bench", kBench);
-  EXPECT_EQ(run({"sim", "--netlist", netlist, "--model", "bogus"}), 1);
-  EXPECT_NE(err_.str().find("unknown model"), std::string::npos);
-  EXPECT_EQ(run({"convert", "--netlist", netlist, "--to", "pdf"}), 1);
-  EXPECT_EQ(run({"sim"}), 1);  // missing --netlist
+  // Flag problems are usage errors (exit 2), input problems exit 1.
+  EXPECT_EQ(run({"sim", "--netlist", netlist, "--model", "bogus"}), 2);
+  EXPECT_NE(err_.str().find("--model expects ddm|cdm|cdm-classical|transport, got 'bogus'"),
+            std::string::npos);
+  EXPECT_EQ(run({"convert", "--netlist", netlist, "--to", "pdf"}), 2);
+  EXPECT_NE(err_.str().find("--to expects"), std::string::npos);
+  EXPECT_EQ(run({"sim"}), 2);
+  EXPECT_NE(err_.str().find("missing required flag --netlist"), std::string::npos);
   // Out-of-range stimulus numbers fail at the reader, naming the line.
   for (const char* stim : {"init a 0\nslew 0\n", "init a 0\nslew -1\n",
                            "init a 0\nslew nan\n", "init a 0\nslew inf\n",
@@ -218,9 +241,10 @@ TEST_F(CliTest, ErrorsAreReportedNotThrown) {
   }
 }
 
-/// Malformed numeric flags and contradictory --replay combinations are
-/// usage errors: exit 2 with the usage text, never a silent clamp of
-/// `--samples 0` to a default or of `1.5` through a double round-trip.
+/// Every flag problem is a usage error: exit 2 with a message naming the
+/// flag and the usage text -- never a silently dropped flag, nor a silent
+/// clamp of `--samples 0` to a default or of `1.5` through a double
+/// round-trip.
 TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
   const std::string netlist = write("and2.bench", kBench);
   const std::string stim = write("and2.stim", kStim);
@@ -263,6 +287,138 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
   EXPECT_EQ(run({"variation", "--netlist", netlist, "--stim", stim,
                  "--samples", "2", "--seed", "0xBEEF"}),
             0);
+
+  // Everything else the flag table catches, each naming the flag; none of
+  // these reaches a command (or a file).  Appended to a valid sim line:
+  const std::vector<std::string> sim{"sim", "--netlist", netlist, "--stim", stim};
+  const std::vector<std::pair<std::vector<std::string>, std::string>> sim_cases{
+      {{"--modle", "cdm"}, "unknown flag --modle for sim (did you mean --model?)"},
+      {{"--hassh"}, "unknown flag --hassh for sim (did you mean --hash?)"},
+      {{"--frobnicate"}, "unknown flag --frobnicate for sim\n"},
+      {{"--t-end", "nan"}, "--t-end expects a finite number, got 'nan'"},
+      {{"--t-end", "inf"}, "--t-end expects a finite number, got 'inf'"},
+      {{"--t-end", "1e400"}, "--t-end expects a finite number, got '1e400'"},
+      {{"--t-end", "-3"}, "--t-end must be >= 0, got '-3'"},
+      {{"--t-end", "5ns"}, "--t-end expects a finite number, got '5ns'"},
+      {{"--deadline-s", "nan"}, "--deadline-s expects a finite number"},
+      {{"--budget-events", "-1"}, "--budget-events expects an unsigned integer, got '-1'"},
+      {{"--budget-mem-mb", "-1"}, "--budget-mem-mb must be >= 0"},
+      {{"--threads", "1.7"}, "--threads expects an unsigned integer, got '1.7'"},
+      {{"--threads", "-1"}, "--threads expects an unsigned integer, got '-1'"},
+      {{"--threads", "5000"}, "--threads must be <= 4096, got '5000'"},
+      {{"--partitions", "0x100000000"}, "--partitions must be <= 4294967295"},
+      {{"--hash", "yes"}, "--hash takes no value, got 'yes'"},
+      {{"--vcd"}, "--vcd needs a value"},
+      {{"--vcd", "--hash"}, "--vcd needs a value"},
+      {{"--vcd", ""}, "--vcd needs a value"},
+      {{"stray"}, "unexpected argument 'stray'"},
+      {{"--hash", "--hash"}, "--hash given twice"},
+      {{"--format", "edif"}, "--format expects bench|verilog|native, got 'edif'"},
+      {{"--threads", "2", "--report"}, "--report requires the serial kernel (--threads 1)"},
+      {{"--sdf", ",", "--replay"}, "--sdf lists no corner files"},
+  };
+  for (const auto& [extra, needle] : sim_cases) {
+    std::vector<std::string> args = sim;
+    args.insert(args.end(), extra.begin(), extra.end());
+    expect_usage(args, "usage error: " + needle);
+  }
+  // A bare trailing --stim no longer reads a file named "1".
+  expect_usage({"sim", "--netlist", netlist, "--stim"}, "--stim needs a value");
+  expect_usage({"lint", netlist, "--netlist-format", "edif"}, "--netlist-format expects");
+  expect_usage({"lint", netlist, "--format", "xml"}, "--format expects text|json, got 'xml'");
+  expect_usage({"lint", netlist, "--fail-on", "often"},
+               "--fail-on expects error|warn|warning|none");
+  expect_usage({"lint", "--format", "json", netlist}, "unexpected argument");
+  expect_usage({"lint", netlist, "--netlist", netlist}, "--netlist given twice");
+  expect_usage({"convert", "--netlist", netlist}, "missing required flag --to");
+  expect_usage({"sta", "--netlist", netlist, "--slew", "0"}, "--slew must be > 0, got '0'");
+  expect_usage({"fault", "--netlist", netlist, "--period", "-1"}, "--period must be > 0");
+  expect_usage({"fault", "--netlist", netlist, "--atpg", "--candidates", "0"},
+               "--candidates must be >= 1");
+  expect_usage({"variation", "--netlist", netlist, "--budget-mem-mb", "inf"},
+               "--budget-mem-mb expects a finite number");
+  expect_usage({"analog", "--netlist", netlist, "--budget-events", "1"},
+               "unknown flag --budget-events for analog");
+  expect_usage({"serve", "--socket", (dir_ / "s.sock").string(), "--cache-mb", "0"},
+               "--cache-mb must be > 0");
+  expect_usage({"serve"}, "missing required flag --socket");
+  expect_usage({"repro", "--only", ","}, "--only needs at least one experiment id");
+}
+
+/// The README's CLI table documents exactly the flags of the flag table,
+/// as `halotis help` renders it: "  CMD -- summary" heads each command's
+/// own flags ("    --flag ..."), and each shared group follows under the
+/// list of commands that take it ("sim, sta and fault:").  Every README
+/// row lists the command's own flags; the two sentences after the table
+/// name the commands that take the shared groups.
+TEST_F(CliTest, ReadmeFlagTableMatchesSpec) {
+  std::map<std::string, std::set<std::string>> own;     // command -> flags
+  std::map<std::string, std::set<std::string>> shared;  // flag -> commands
+  std::string command;
+  std::vector<std::string> group;
+  std::istringstream usage(cli_usage());
+  for (std::string line; std::getline(usage, line);) {
+    if (line.rfind("    --", 0) == 0) {
+      const std::string flag = line.substr(6, line.find(' ', 6) - 6);
+      if (!command.empty()) {
+        EXPECT_TRUE(own[command].insert(flag).second) << command << " lists --" << flag;
+      }
+      for (const std::string& name : group) shared[flag].insert(name);
+    } else if (line.rfind("  ", 0) == 0 && line.find(" -- ") != std::string::npos) {
+      command = line.substr(2, line.find(' ', 2) - 2);
+      own[command];
+    } else if (!line.empty() && line.back() == ':' && line != "commands:") {
+      command.clear();
+      group.clear();
+      std::string names = std::regex_replace(line.substr(0, line.size() - 1),
+                                             std::regex(" and "), ", ");
+      for (std::size_t at = 0; at != std::string::npos;) {
+        const std::size_t comma = names.find(", ", at);
+        group.push_back(names.substr(at, comma - at));
+        at = comma == std::string::npos ? comma : comma + 2;
+      }
+    }
+  }
+  ASSERT_TRUE(own.count("sim") == 1 && own.count("serve") == 1) << cli_usage();
+
+  std::ifstream file(std::string(HALOTIS_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(file.good());
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  const std::string readme = buffer.str();
+  const std::regex flag_pattern("--[a-z][a-z-]*");
+  for (const auto& [name, flags] : own) {
+    const std::string row_start = "\n| `" + name + "` | ";
+    const std::size_t row = readme.find(row_start);
+    ASSERT_NE(row, std::string::npos) << "README has no row for " << name;
+    // The flags column: after the second cell separator, to the line end.
+    const std::size_t column = readme.find(" | ", row + row_start.size());
+    const std::string cells = readme.substr(column, readme.find('\n', row + 1) - column);
+    std::set<std::string> documented;
+    for (auto it = std::sregex_iterator(cells.begin(), cells.end(), flag_pattern);
+         it != std::sregex_iterator(); ++it) {
+      documented.insert(it->str().substr(2));
+    }
+    EXPECT_EQ(documented, flags) << "README row of " << name;
+  }
+  // The backticked command names of the README paragraph holding `anchor`.
+  const auto commands_before = [&](const std::string& anchor) {
+    const std::size_t at = readme.find(anchor);
+    EXPECT_NE(at, std::string::npos) << anchor;
+    const std::size_t start = readme.rfind("\n\n", at);
+    const std::string text = readme.substr(start, at - start);
+    const std::regex name_pattern("`([a-z]+)`");
+    std::set<std::string> names;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), name_pattern);
+         it != std::sregex_iterator(); ++it) {
+      names.insert((*it)[1]);
+    }
+    return names;
+  };
+  EXPECT_EQ(commands_before("additionally take the shared supervision"),
+            shared["budget-events"]);
+  EXPECT_EQ(commands_before("also take `--connect PATH`"), shared["connect"]);
+  EXPECT_EQ(shared["failpoints"].size(), own.size());  // "Every command takes"
 }
 
 TEST_F(CliTest, ModelVariantsAllRun) {
@@ -314,6 +470,18 @@ TEST_F(CliTest, MalformedSdfFailsWithLineNumber) {
                                            "(DELAY (ABSOLUTE (IOPATH A Y (1) (1))))))\n");
   EXPECT_EQ(run({"sim", "--netlist", netlist, "--sdf", bad}), 1);
   EXPECT_NE(err_.str().find("sdf line 3"), std::string::npos);
+  // Non-finite delays and timescales stop at the reader too (exit 1, line).
+  const std::string cell = "(CELL (CELLTYPE \"INV_X1\") (INSTANCE g_y)\n(DELAY (ABSOLUTE ";
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"(DELAYFILE\n" + cell + "(IOPATH A Y (inf::inf) (1))))))\n", "sdf line 3: non-finite"},
+      {"(DELAYFILE\n" + cell + "(IOPATH A Y (nan::nan) (nan))))))\n", "sdf line 3: non-finite"},
+      {"(DELAYFILE\n(TIMESCALE 0ns)\n" + cell + "(IOPATH A Y (1) (1))))))\n",
+       "sdf line 2: TIMESCALE must be finite and positive"},
+  };
+  for (const auto& [body, needle] : cases) {
+    EXPECT_EQ(run({"sim", "--netlist", netlist, "--sdf", write("nonfinite.sdf", body)}), 1);
+    EXPECT_NE(err_.str().find(needle), std::string::npos) << err_.str();
+  }
 }
 
 }  // namespace

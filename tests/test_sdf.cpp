@@ -179,6 +179,31 @@ TEST_F(SdfTest, ReaderRejectsMalformedRecordsWithLineNumbers) {
                        "(DELAY (ABSOLUTE (IOPATH A Y (-1) (1))))))");
       },
       "sdf line 2: negative IOPATH delay");
+  // Non-finite delays never reach the timing graph, NaN is not mistaken
+  // for a negative delay, and an unused min/max field is checked too.
+  const auto iopath = [](const std::string& rise) {
+    return "(DELAYFILE (CELL (CELLTYPE \"X\") (INSTANCE u1)\n(DELAY (ABSOLUTE (IOPATH A Y " +
+           rise + " (1))))))";
+  };
+  for (const char* rise : {"(inf::inf)", "(nan)", "(nan::nan)", "(-inf)", "(1:inf:2)", "(nan:1:2)"}) {
+    expect_sdf_error([&] { (void)read_sdf(iopath(rise)); },
+                     "sdf line 2: non-finite delay value");
+  }
+  expect_sdf_error([&] { (void)read_sdf(iopath("(1e400)")); },
+                   "sdf line 2: bad delay value '1e400'");
+  // A finite delay that overflows once scaled.
+  expect_sdf_error(
+      [] {
+        (void)read_sdf("(DELAYFILE (TIMESCALE 1us) (CELL (CELLTYPE \"X\") (INSTANCE u1)\n"
+                       "(DELAY (ABSOLUTE (IOPATH A Y (1e306) (1))))))");
+      },
+      "sdf line 2: IOPATH delay overflows after TIMESCALE");
+  // A TIMESCALE must be finite and positive.
+  for (const char* scale : {"0ns", "-1ns", "0 ps", "nanns", "inf ps", "1e308us"}) {
+    expect_sdf_error(
+        [&] { (void)read_sdf(std::string("(DELAYFILE\n(TIMESCALE ") + scale + "))"); },
+        "sdf line 2: TIMESCALE must be finite and positive");
+  }
 }
 
 TEST_F(SdfTest, ApplyRejectsUnmatchedRecords) {

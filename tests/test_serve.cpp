@@ -609,6 +609,21 @@ TEST_F(ServeTest, DaemonRestrictsItsCommandSurface) {
       << response.err;
 }
 
+TEST_F(ServeTest, UsageErrorsAreByteIdenticalUnderConnect) {
+  start_daemon(1);
+  const std::string netlist = write("a.bench", kBenchA);
+  const std::string stim = write("a.stim", kStimA);
+  // Caught by the client's own parse, and by the daemon's command.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"sim", "--netlist", netlist, "--stim", stim, "--hassh"},
+        std::vector<std::string>{"sim", "--netlist", netlist, "--stim", stim, "--threads",
+                                 "2", "--report"}}) {
+    const Capture local = run_args(args);
+    EXPECT_EQ(local.code, 2) << local.err;
+    EXPECT_EQ(run_daemon(args), local);
+  }
+}
+
 TEST_F(ServeTest, RandomizedFailureSoakNeverWedgesTheDaemon) {
   const std::string stim = write("a.stim", kStimA);
   // Golden and daemon runs name the SAME --vcd path (the "wrote PATH" line
