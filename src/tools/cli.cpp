@@ -70,7 +70,6 @@ enum FlagTrait : unsigned {
   kRequired = 2,
   kClientSide = 4,  ///< consumed by a --connect client, never forwarded
   kAboveLo = 8,     ///< the lower bound is exclusive
-  kShared = 16,     ///< a shared group: supervision, --connect, --failpoints
 };
 
 /// One row of the flag table: a flag of each command whose bit is set in
@@ -102,8 +101,8 @@ constexpr unsigned kDesign = kSim | kSta | kFault | kVariation | kAnalog | kConv
 constexpr unsigned kRoutable = kSim | kSta | kFault | kVariation;  // `halotis serve` runs them
 constexpr unsigned kSupervised = kSim | kFault | kVariation | kLint | kRepro;
 constexpr double kIntMax = std::numeric_limits<int>::max();
-constexpr double kMaxThreads = 4096;
-constexpr double kMaxMiB = 1e9;  // keeps the MiB -> byte casts defined
+/// The shared groups: rows declared once for every command in their mask.
+constexpr unsigned kGroups[] = {kSupervised, kRoutable, ~0U};
 
 constexpr CommandSpec kCommands[] = {
     {"sim", "event-driven timing simulation", kSim},
@@ -117,10 +116,9 @@ constexpr CommandSpec kCommands[] = {
     {"serve", "resident daemon; SIGINT/SIGTERM drain it (docs/DAEMON.md)", kServe},
 };
 
-// A command takes the first row of each name whose mask holds its bit.
+// No two rows of one name share a command (ReadmeFlagTableMatchesSpec checks).
 constexpr FlagSpec kFlags[] = {
-    {kDesign, "netlist", kPath, "F", "netlist file", kInputFile | kRequired},
-    {kLint, "netlist", kPath, "F", "netlist file (or a bare F right after lint)",
+    {kDesign | kLint, "netlist", kPath, "F", "netlist file (`lint F` also takes it bare)",
      kInputFile | kRequired},
     {kDesign, "format", kEnum, "bench|verilog|native", "netlist dialect (default: by suffix)"},
     {kLint, "netlist-format", kEnum, "bench|verilog|native", "netlist dialect"},
@@ -130,18 +128,15 @@ constexpr FlagSpec kFlags[] = {
     {kSim | kFault | kVariation | kLint, "model", kEnum, "ddm|cdm|cdm-classical|transport",
      "delay model (default ddm)"},
     {kSim | kVariation | kAnalog, "t-end", kNumber, "NS", "simulation horizon"},
-    {kSim, "sdf", kPath, "F", "back-annotate IOPATH delays (A[,B...] corners with --replay)",
-     kInputFile},
-    {kSta | kLint, "sdf", kPath, "F", "back-annotate IOPATH delays first", kInputFile},
+    {kSim | kSta | kLint, "sdf", kPath, "F",
+     "back-annotate IOPATH delays (A[,B...] corners for sim --replay)", kInputFile},
     {kSta | kLint | kConvert, "slew", kNumber, "NS", "input ramp (default 0.5)", kAboveLo},
-    {kSim, "vcd", kPath, "F", "write a full-design VCD"},
+    {kSim, "vcd", kPath, "F", "write a full-design VCD (serial kernel only)"},
     {kSim, "report", kBool, "", "switching-activity table (serial kernel only)"},
     {kSim, "waves", kBool, "", "ASCII waveforms of the primary outputs"},
     {kSim, "hash", kBool, "", "print the waveform history hash"},
-    {kSim, "threads", kUnsigned, "N", "partitioned kernel unless 1 (0 = all hardware)", 0, 0,
-     kMaxThreads},
-    {kFault | kVariation | kRepro | kServe, "threads", kUnsigned, "N",
-     "worker threads (0 = all hardware)", 0, 0, kMaxThreads},
+    {kSim | kFault | kVariation | kRepro | kServe, "threads", kUnsigned, "N",
+     "worker threads, 0 = all hardware (sim: partitioned unless 1)", 0, 0, kIntMax},
     {kSim, "partitions", kUnsigned, "K", "partition count (default: automatic)", 0, 0,
      std::numeric_limits<std::uint32_t>::max()},
     {kSim | kVariation, "replay", kBool, "", "re-time a recorded trace, not re-simulate"},
@@ -154,7 +149,7 @@ constexpr FlagSpec kFlags[] = {
     {kVariation, "sigma", kNumber, "S", "lognormal per-gate delay spread (default 0.1)"},
     {kVariation, "samples", kUnsigned, "N", "Monte-Carlo samples (default 200)", 0, 1},
     {kVariation | kAnalog, "csv", kPath, "F", "write per-sample / voltage-trace CSV"},
-    {kVariation | kLint | kConvert, "out", kPath, "F", "write the report / netlist here"},
+    {kVariation | kLint | kConvert | kRepro, "out", kPath, "F", "output file (repro: a directory)"},
     {kLint, "fanout-limit", kUnsigned, "N", "largest fanout not reported (default 64)", 0, 0,
      kIntMax},
     {kLint, "baseline", kPath, "F", "suppress the findings recorded in F", kInputFile},
@@ -163,25 +158,22 @@ constexpr FlagSpec kFlags[] = {
     {kRepro, "list", kBool, "", "list the registered experiments"},
     {kRepro, "only", kPath, "ID[,ID...]", "run only these experiments"},
     {kRepro, "quick", kBool, "", "reduced sizes (the golden-hash mode)"},
-    {kRepro, "out", kPath, "DIR", "artifact directory (default repro-out)"},
     {kRepro, "golden", kPath, "F", "compare the artifact hashes against F", kInputFile},
     {kConvert, "to", kEnum, "bench|verilog|native|sdf", "target format", kRequired},
     {kServe, "socket", kPath, "PATH", "Unix socket to listen on", kRequired},
     {kServe, "cache-mb", kNumber, "M", "elaboration cache MiB (default 256)", kAboveLo, 0,
-     kMaxMiB},
+     kIntMax},
     {kServe, "idle-timeout-ms", kUnsigned, "T", "mid-frame stall limit (default 30000)", 0, 0,
      kIntMax},
-    // The shared groups.
-    {kSupervised, "budget-events", kUnsigned, "N", "exit 3 after N processed events",
-     kShared},
-    {kSupervised, "budget-mem-mb", kNumber, "N", "exit 3 past N MiB of arenas", kShared, 0,
-     kMaxMiB},
-    {kSupervised, "deadline-s", kNumber, "S", "exit 4 after S wall-clock seconds", kShared},
+    // The shared groups (kGroups).
+    {kSupervised, "budget-events", kUnsigned, "N", "exit 3 after N processed events"},
+    {kSupervised, "budget-mem-mb", kNumber, "N", "exit 3 past N MiB of arenas", 0, 0, kIntMax},
+    {kSupervised, "deadline-s", kNumber, "S", "exit 4 after S wall-clock seconds"},
     {kRoutable, "connect", kPath, "PATH", "run on a `halotis serve` daemon, same output",
-     kShared | kClientSide},
+     kClientSide},
     {~0U, "failpoints", kPath, "SPEC",
      "arm fail points, e.g. \"io.write@2;worker.task*\" (or $HALOTIS_FAILPOINTS)",
-     kShared | kClientSide},
+     kClientSide},
 };
 
 const FlagSpec* find_flag(const CommandSpec& command, std::string_view name) {
@@ -215,13 +207,11 @@ struct Options {
   const CommandSpec* command;
   std::vector<Value> values;
 
-  /// The value of a flag, nullptr when absent.  Asking for a flag the
-  /// command does not declare is a bug in this file.
+  /// The value of a flag (the last one given), nullptr when absent.
   [[nodiscard]] const Value* find(std::string_view name) const {
-    ensure(find_flag(*command, name) != nullptr, "Options: flag not in the command's table");
-    const auto it = std::find_if(values.begin(), values.end(),
+    const auto it = std::find_if(values.rbegin(), values.rend(),
                                  [&](const Value& value) { return value.spec->name == name; });
-    return it != values.end() ? &*it : nullptr;
+    return it != values.rend() ? &*it : nullptr;
   }
   [[nodiscard]] bool has(std::string_view name) const { return find(name) != nullptr; }
   /// A kPath / kEnum value, or `fallback` when the flag is absent.
@@ -244,9 +234,12 @@ struct Options {
   throw UsageError("--" + std::string(spec.name) + " " + what + ", got '" + text + "'");
 }
 
-/// Validates one flag value against its table row.
+/// Validates one flag value against its table row; only a kBool has none.
 Options::Value parse_value(const FlagSpec& spec, std::string text) {
   Options::Value value{&spec, std::move(text)};
+  if (spec.kind == kBool) return value;
+  if (value.text.empty()) throw UsageError("--" + std::string(spec.name) + " needs a value");
+  if (spec.kind == kPath) return value;
   const char* first = value.text.data();
   const char* last = first + value.text.size();
   if (spec.kind == kEnum) {
@@ -264,13 +257,11 @@ Options::Value parse_value(const FlagSpec& spec, std::string text) {
       bad_value(spec, value.text, "expects an unsigned integer");
     }
     value.number = static_cast<double>(value.count);
-  } else if (spec.kind == kNumber) {
+  } else {
     const auto [ptr, ec] = std::from_chars(first, last, value.number);
     if (ec != std::errc{} || ptr != last || !std::isfinite(value.number)) {
       bad_value(spec, value.text, "expects a finite number");
     }
-  } else {
-    return value;  // kBool, kPath
   }
   if ((spec.traits & kAboveLo) != 0 ? !(value.number > spec.lo) : !(value.number >= spec.lo)) {
     bad_value(spec, value.text, ((spec.traits & kAboveLo) != 0 ? "must be > " : "must be >= ") +
@@ -334,9 +325,6 @@ Options parse_args(const CommandSpec& command, const std::vector<std::string>& a
       if (spec->kind == kBool && valued) {
         throw UsageError(arg + " takes no value, got '" + args[i + 1] + "'");
       }
-      if (spec->kind != kBool && (!valued || args[i + 1].empty())) {
-        throw UsageError(arg + " needs a value");
-      }
       if (valued) text = args[++i];
     } else if (i == 1 && command.bit == kLint) {
       // `halotis lint NETLIST`: the one documented positional form.
@@ -344,9 +332,6 @@ Options parse_args(const CommandSpec& command, const std::vector<std::string>& a
       text = arg;
     } else {
       throw UsageError("unexpected argument '" + arg + "'");
-    }
-    if (options.has(spec->name)) {
-      throw UsageError("--" + std::string(spec->name) + " given twice");
     }
     options.values.push_back(parse_value(*spec, std::move(text)));
   }
@@ -432,18 +417,17 @@ void publish_artifact(const ServiceEnv& env, const std::string& path, std::strin
   out << "wrote " << path << "\n";
 }
 
-std::string extension_format(const std::string& path) {
-  if (path.size() >= 6 && path.substr(path.size() - 6) == ".bench") return "bench";
-  if (path.size() >= 2 && path.substr(path.size() - 2) == ".v") return "verilog";
-  return "native";
-}
-
 /// The netlist dialect: the flag, else the file extension.  lint's
 /// `--format` selects its *report* format, so its dialect flag is
 /// `--netlist-format`.
 std::string detect_format(const Options& options, const std::string& path) {
   const bool lint = options.command->bit == kLint;
-  return options.text(lint ? "netlist-format" : "format", extension_format(path));
+  if (const std::string flag = options.text(lint ? "netlist-format" : "format"); !flag.empty()) {
+    return flag;
+  }
+  if (path.ends_with(".bench")) return "bench";
+  if (path.ends_with(".v")) return "verilog";
+  return "native";
 }
 
 Netlist load_netlist(const Options& options) {
@@ -551,8 +535,8 @@ int sim_replay_corners(const ServiceEnv& env, const Options& options,
   return 0;
 }
 
-/// The cross-flag rules of `sim` the table cannot express.
-void check_sim_flags(const Options& options) {
+int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
+  // The cross-flag rules the flag table cannot express.
   const bool serial = options.count("threads", 1) == 1 && options.count("partitions", 0) == 0;
   const bool replay = options.has("replay");
   if (replay && !options.has("sdf")) {
@@ -567,12 +551,7 @@ void check_sim_flags(const Options& options) {
   if (!serial && options.has("report")) {
     throw UsageError("--report requires the serial kernel (--threads 1)");
   }
-}
-
-int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
-  check_sim_flags(options);
   const std::unique_ptr<DelayModel> model = make_model(options);
-  const bool replay = options.has("replay");
   // One elaborated timing database for the run; --sdf back-annotates it
   // (the third-party-netlist scenario: IOPATH delays replace the library's
   // conventional part, the inertial/degradation treatment stays).  Under
@@ -627,17 +606,12 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
     }
     out << '\n' << plot.render();
   };
-  const auto write_vcd = [&](const auto& sim) {
-    if (!options.has("vcd")) return;
-    std::ostringstream bytes;
-    vcd_from_simulator(sim).write(bytes);
-    publish_artifact(env, options.text("vcd"), bytes.str(), out);
-  };
 
   if (threads != 1 || partitions != 0) {
     // Partitioned parallel kernel: bit-identical history at any thread
-    // count (see src/core/partition.hpp), so the VCD bytes match too;
-    // --report reads serial-kernel counters and stays serial-only.
+    // count (see src/core/partition.hpp).  The VCD export reads the serial
+    // kernel's database, so --vcd fails the run here (exit 1).
+    require(!options.has("vcd"), "--vcd requires the serial kernel (--threads 1)");
     PartitionedConfig pconfig;
     pconfig.threads = threads;
     pconfig.partitions = partitions;
@@ -656,7 +630,6 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
     out << "\n";
     print_finals(sim);
     print_waves(sim, result);
-    write_vcd(sim);
     return 0;
   }
 
@@ -689,7 +662,11 @@ int cmd_sim(const Options& options, std::ostream& out, const ServiceEnv& env) {
     out << '\n' << format_activity(compute_activity(sim), 20);
   }
   print_waves(sim, result);
-  write_vcd(sim);
+  if (options.has("vcd")) {
+    std::ostringstream bytes;
+    vcd_from_simulator(sim).write(bytes);
+    publish_artifact(env, options.text("vcd"), bytes.str(), out);
+  }
   return 0;
 }
 
@@ -1107,14 +1084,15 @@ std::string cli_usage() {
   for (const CommandSpec& command : kCommands) {
     usage += "  " + std::string(command.name) + " -- " + std::string(command.summary) + "\n";
     for (const FlagSpec& spec : kFlags) {
-      if ((spec.commands & command.bit) != 0 && (spec.traits & kShared) == 0) add_flag(spec);
+      const bool shared = std::ranges::find(kGroups, spec.commands) != std::end(kGroups);
+      if ((spec.commands & command.bit) != 0 && !shared) add_flag(spec);
     }
   }
-  unsigned group = 0;  // the shared groups, each under the commands that take it
-  for (const FlagSpec& spec : kFlags) {
-    if ((spec.traits & kShared) == 0) continue;
-    if (spec.commands != group) usage += "\n" + command_list(group = spec.commands) + ":\n";
-    add_flag(spec);
+  for (const unsigned group : kGroups) {  // each under the commands that take it
+    usage += "\n" + command_list(group) + ":\n";
+    for (const FlagSpec& spec : kFlags) {
+      if (spec.commands == group) add_flag(spec);
+    }
   }
   return usage +
          "\nCtrl-C cancels cooperatively (exit 5); artifacts are written via temp file +\n"
@@ -1171,18 +1149,14 @@ int run_cli_service(const std::vector<std::string>& args, std::ostream& out,
         }
       }
     } else {
-      std::string failpoint_spec;
-      if (const char* env_spec = std::getenv("HALOTIS_FAILPOINTS")) {
-        failpoint_spec = env_spec;
-      }
-      if (options.has("failpoints")) failpoint_spec = options.text("failpoints");
+      const char* env_spec = std::getenv("HALOTIS_FAILPOINTS");
+      const std::string failpoint_spec =
+          options.text("failpoints", env_spec != nullptr ? env_spec : "");
       if (!failpoint_spec.empty()) {
         FailPoints::instance().arm_spec(failpoint_spec);
         armed_failpoints = true;
       }
-      if ((command->bit & kRoutable) != 0 && options.has("connect")) {
-        return run_connect(options, out, err);
-      }
+      if (options.has("connect")) return run_connect(options, out, err);
     }
     const std::string_view name = command->name;
     if (name == "sim") return cmd_sim(options, out, env);

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "src/base/check.hpp"
-#include "src/core/partition.hpp"
 #include "src/core/simulator.hpp"
 
 namespace halotis {
@@ -66,10 +65,7 @@ std::string VcdWriter::to_string() const {
   return stream.str();
 }
 
-namespace {
-
-template <class Sim>
-VcdWriter vcd_from_histories(const Sim& sim, std::span<const SignalId> signals,
+VcdWriter vcd_from_simulator(const Simulator& sim, std::span<const SignalId> signals,
                              std::string module_name) {
   VcdWriter vcd(std::move(module_name));
   const Netlist& netlist = sim.netlist();
@@ -86,18 +82,6 @@ VcdWriter vcd_from_histories(const Sim& sim, std::span<const SignalId> signals,
     for (const SignalId id : signals) add(id);
   }
   return vcd;
-}
-
-}  // namespace
-
-VcdWriter vcd_from_simulator(const Simulator& sim, std::span<const SignalId> signals,
-                             std::string module_name) {
-  return vcd_from_histories(sim, signals, std::move(module_name));
-}
-
-VcdWriter vcd_from_simulator(const PartitionedSimulator& sim,
-                             std::span<const SignalId> signals, std::string module_name) {
-  return vcd_from_histories(sim, signals, std::move(module_name));
 }
 
 }  // namespace halotis

@@ -14,7 +14,6 @@
 namespace halotis {
 
 class Simulator;
-class PartitionedSimulator;
 
 class VcdWriter {
  public:
@@ -48,11 +47,6 @@ class VcdWriter {
 /// netlist order -- the shared export path of the CLI's `sim --vcd` and the
 /// reproduction engine's VCD artifacts.
 [[nodiscard]] VcdWriter vcd_from_simulator(const Simulator& sim,
-                                           std::span<const SignalId> signals = {},
-                                           std::string module_name = "halotis");
-/// The same export from the partitioned kernel, whose histories are
-/// bit-identical to the serial kernel's (so are the VCD bytes).
-[[nodiscard]] VcdWriter vcd_from_simulator(const PartitionedSimulator& sim,
                                            std::span<const SignalId> signals = {},
                                            std::string module_name = "halotis");
 

@@ -232,10 +232,7 @@ TEST_F(SoakTest, RandomizedFailPointSchedules) {
   }
   // The schedule mix must actually exercise both regimes.
   EXPECT_GT(completed, 20) << "soak never completed a run";
-  // 47 of the 220 schedules fail on an injected fault.  (The partitioned
-  // sim schedules once all exited 1 on a --vcd flag conflict, which padded
-  // this count; they now run and publish their VCD.)
-  EXPECT_GT(failed, 40) << "soak never injected an effective failure";
+  EXPECT_GT(failed, 50) << "soak never injected an effective failure";
 }
 
 }  // namespace
