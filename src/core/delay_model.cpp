@@ -1,47 +1,6 @@
 #include "src/core/delay_model.hpp"
 
-#include "src/base/check.hpp"
-
 namespace halotis {
-
-namespace {
-
-/// Shared request validation; the graph-elaborated hot path never pays it.
-void check_request(const DelayRequest& request) {
-  require(request.cell != nullptr, "DelayModel: request.cell must not be null");
-  require(request.pin >= 0 &&
-              request.pin < static_cast<int>(request.cell->pins.size()),
-          "DelayModel: request.pin out of range");
-}
-
-/// Reference implementation shared by every model: elaborate the request's
-/// single arc on the fly and evaluate it -- the exact code path the
-/// TimingGraph kernel runs, so table and reference agree bit for bit.
-DelayResult compute_via_arc(const DelayRequest& request, const TimingPolicy& policy,
-                            double factor) {
-  check_request(request);
-  const TimingArc arc = elaborate_arc(*request.cell, request.pin, request.out_edge,
-                                      request.cl, request.vdd, policy, factor);
-  const ArcDelay delay = eval_arc(arc, request.tau_in, request.t_event,
-                                  request.t_prev_out50.has_value(),
-                                  request.t_prev_out50.value_or(0.0));
-  DelayResult result;
-  result.tp = delay.tp;
-  result.tau_out = delay.tau_out;
-  result.filtered = delay.filtered;
-  result.inertial_window = delay.inertial_window;
-  return result;
-}
-
-}  // namespace
-
-DelayResult DdmDelayModel::compute(const DelayRequest& request) const {
-  return compute_via_arc(request, timing_policy(), 1.0);
-}
-
-Volt DdmDelayModel::event_threshold(const Cell& cell, int pin, Volt /*vdd*/) const {
-  return cell.pin(pin).vt;
-}
 
 TimingPolicy DdmDelayModel::timing_policy() const {
   TimingPolicy policy;
@@ -50,50 +9,10 @@ TimingPolicy DdmDelayModel::timing_policy() const {
   return policy;
 }
 
-DelayResult CdmDelayModel::compute(const DelayRequest& request) const {
-  return compute_via_arc(request, timing_policy(), 1.0);
-}
-
-Volt CdmDelayModel::event_threshold(const Cell& /*cell*/, int /*pin*/, Volt vdd) const {
-  return 0.5 * vdd;
-}
-
 TimingPolicy CdmDelayModel::timing_policy() const {
   TimingPolicy policy;
-  switch (window_) {
-    case InertialWindow::kNone:
-      policy.window = TimingPolicy::Window::kNone;
-      break;
-    case InertialWindow::kGateDelay:
-      policy.window = TimingPolicy::Window::kGateDelay;
-      break;
-    case InertialWindow::kFixed:
-      policy.window = TimingPolicy::Window::kFixed;
-      policy.fixed_window = fixed_window_;
-      break;
-  }
-  return policy;
-}
-
-double VariationDelayModel::factor(GateId gate) const {
-  return variation_factor(seed_, sigma_, gate);
-}
-
-DelayResult VariationDelayModel::compute(const DelayRequest& request) const {
-  DelayResult result = base_->compute(request);
-  const double k = request.gate.valid() ? factor(request.gate) : 1.0;
-  result.tp *= k;
-  result.tau_out *= k;
-  result.inertial_window *= k;
-  return result;
-}
-
-TimingPolicy VariationDelayModel::timing_policy() const {
-  TimingPolicy policy = base_->timing_policy();
-  require(!policy.has_variation(),
-          "VariationDelayModel: stacking variation models is not supported");
-  policy.variation_sigma = sigma_;
-  policy.variation_seed = seed_;
+  policy.window = window_;
+  if (window_ == InertialWindow::kFixed) policy.fixed_window = fixed_window_;
   return policy;
 }
 

@@ -19,18 +19,17 @@
 // devirtualized and mostly sequential reads.
 //   * All per-arc timing comes from the elaborated TimingGraph (PR 5): gate
 //     evaluation computes DDM/CDM delays by indexing a dense TimingArc
-//     table (load already folded, eval_arc() inlined) instead of
-//     dispatching through the virtual `DelayModel::compute`; the DelayModel
-//     survives only as the policy that elaborated the table.
+//     table (load already folded, eval_arc() inlined); the DelayModel is
+//     only the policy that elaborated the table.
 //   * Gate functions are compiled to per-instance truth tables (PR 5): a
 //     packed input word is maintained incrementally (one XOR per event) and
 //     the output is one shift -- no per-event input-array walk, no
 //     `eval_cell` call.
 //   * A flattened fanout table built at construction stores, per
 //     (signal, fanout pin): the receiving pin, its flattened input index
-//     and the precomputed threshold crossing fractions VT/VDD -- so
-//     spawn_events() walks one contiguous array with no virtual
-//     `event_threshold` calls and no cell lookups.
+//     and the threshold crossing fraction VT/VDD copied from
+//     TimingGraph::threshold_fraction -- so spawn_events() walks one
+//     contiguous array with no cell lookups.
 //   * Transition bookkeeping (spawned events, suppressed pairs) lives in
 //     pooled, reclaimable `TrackRec` slots with inline small-buffer storage
 //     spilling to shared pools, allocated lazily on first use; a record is
@@ -248,8 +247,8 @@ class Simulator {
 
   /// One receiving pin of a signal, with everything spawn_events() needs
   /// resolved: the flattened input index and the precomputed crossing
-  /// fractions (VT/VDD for rising ramps, 1 - VT/VDD for falling ones; the
-  /// model's virtual `event_threshold` is consulted once, here).
+  /// fractions (VT/VDD for rising ramps, 1 - VT/VDD for falling ones,
+  /// read once from TimingGraph::threshold_fraction).
   struct FanoutEntry {
     GateId gate;               ///< receiving gate
     std::uint16_t pin = 0;     ///< receiving input pin of `gate`

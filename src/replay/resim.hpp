@@ -87,17 +87,6 @@ class ResimSession {
   ResimSample evaluate(const TimingGraph& graph, std::span<const SignalId> observed,
                        bool want_hash, const RunSupervisor* supervisor = nullptr);
 
-  /// Evaluates up to kReplayLanes perturbed graphs through one lane-batched
-  /// trace walk (TraceReplayer::replay_batch): the op decode is shared and
-  /// the independent per-lane recurrences overlap, which is where the bulk
-  /// of the replay-vs-full speedup comes from.  Lanes that fail a check
-  /// fall back to full simulation individually.  Results are positionally
-  /// matched to `graphs` and bit-identical to evaluate() on each graph.
-  void evaluate_batch(std::span<const TimingGraph* const> graphs,
-                      std::span<const SignalId> observed, bool want_hash,
-                      std::span<ResimSample> out,
-                      const RunSupervisor* supervisor = nullptr);
-
   /// Samples evaluated / fallbacks taken since construction.
   [[nodiscard]] std::uint64_t evaluated() const { return evaluated_; }
   [[nodiscard]] std::uint64_t fallbacks() const { return fallbacks_; }

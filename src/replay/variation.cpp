@@ -1,45 +1,18 @@
 #include "src/replay/variation.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <memory>
 
 #include "src/base/check.hpp"
+#include "src/base/fnv.hpp"
 #include "src/base/mathfit.hpp"
 #include "src/base/rng.hpp"
 #include "src/base/strings.hpp"
 #include "src/base/worker_pool.hpp"
 #include "src/replay/history_hash.hpp"
 #include "src/replay/resim.hpp"
-#include "src/timing/timing_arc.hpp"
 
 namespace halotis::replay {
-
-namespace {
-
-[[nodiscard]] std::string hex64(std::uint64_t v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "%016" PRIx64, v);
-  return buffer;
-}
-
-/// Applies sample `seed`'s per-gate derating corner to a copy of `base` --
-/// bit-identical arcs to elaborating under VariationDelayModel(model,
-/// sigma, seed), because elaboration stores the factor verbatim and the
-/// base factors are the model's own (scaling multiplies).
-[[nodiscard]] TimingGraph perturbed_graph(const TimingGraph& base, double sigma,
-                                          std::uint64_t seed) {
-  TimingGraph graph = base;
-  const auto num_gates = static_cast<std::uint32_t>(graph.num_gates());
-  for (std::uint32_t g = 0; g < num_gates; ++g) {
-    const GateId gid{g};
-    graph.scale_gate_factor(gid, variation_factor(seed, sigma, gid));
-  }
-  return graph;
-}
-
-}  // namespace
 
 VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
                               const Stimulus& stimulus,
@@ -47,7 +20,8 @@ VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
                               const VariationConfig& config,
                               const RunSupervisor* supervisor) {
   require(config.samples >= 1, "run_variation(): samples must be >= 1");
-  require(config.sigma >= 0.0, "run_variation(): sigma must be >= 0");
+  require(config.sigma >= 0.0 && config.sigma <= kMaxVariationSigma,
+          "run_variation(): sigma must lie in [0, kMaxVariationSigma]");
 
   ResimEngine engine(netlist, model, stimulus, config.sim);
 
@@ -81,7 +55,8 @@ VariationResult run_variation(const Netlist& netlist, const DelayModel& model,
 
   result.rows.resize(config.samples);
   pool.for_each_index(config.samples, [&](int worker, std::size_t i) {
-    const TimingGraph graph = perturbed_graph(engine.base_graph(), config.sigma, seeds[i]);
+    TimingGraph graph = engine.base_graph();
+    graph.apply_variation(config.sigma, seeds[i]);
     ResimSample sample;
     if (config.use_replay) {
       sample = sessions[static_cast<std::size_t>(worker)]->evaluate(
@@ -110,11 +85,11 @@ std::string format_variation_csv(const VariationResult& result) {
     const VariationSampleRow& row = result.rows[i];
     out += std::to_string(i);
     out += ",0x";
-    out += hex64(row.sample_seed);
+    out += fnv_hex(row.sample_seed);
     out += ',';
     out += format_double(row.critical_t50, 17);
     out += ',';
-    out += hex64(row.history_hash);
+    out += fnv_hex(row.history_hash);
     out += '\n';
   }
   return out;

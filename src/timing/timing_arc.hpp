@@ -9,15 +9,15 @@
 //   T0(eq. 3)     = t0_slope * tau_in                  t0_slope = 1/2 - C/VDD
 //   tau_out       = tau_out                            s0 + s_load*CL
 //
-// and the model policy (degradation on/off, classical inertial window,
-// per-instance variation derating) encoded in flags, so one non-virtual
-// eval_arc() serves the event kernel, STA, the SDF exporter and every other
-// consumer.  The folding is arranged so eval_arc() reproduces the
-// DelayModel::compute() reference implementations *bit for bit*: each
-// partial sum keeps the exact association order of the original macro-model
-// expressions, and the derating factor multiplies last, exactly where
-// VariationDelayModel applied it (x * 1.0 is exact, so unconditional
-// multiplication costs nothing in accuracy).
+// and the model policy (degradation on/off, classical inertial window)
+// encoded in flags, so one non-virtual eval_arc() serves the event kernel,
+// replay, STA, the SDF exporter and every other consumer: it is the one
+// place the paper's eq. 1-3 are evaluated.  Each partial sum keeps the
+// exact association order of the macro-model expressions (EdgeTiming::tp0
+// and friends), and the per-instance derating factor (process variation,
+// TimingGraph::apply_variation) multiplies last, after the full model
+// computation (x * 1.0 is exact, so unconditional multiplication costs
+// nothing in accuracy).
 #pragma once
 
 #include <cmath>
@@ -46,12 +46,6 @@ struct TimingPolicy {
   /// midswing voltage.
   enum class Threshold : std::uint8_t { kMidswing, kPerPinVt };
   Threshold threshold = Threshold::kMidswing;
-
-  /// Per-instance lognormal process variation (sigma == 0 disables it).
-  double variation_sigma = 0.0;
-  std::uint64_t variation_seed = 0;
-
-  [[nodiscard]] bool has_variation() const { return variation_sigma != 0.0; }
 };
 
 /// Per-arc policy bits (folded from TimingPolicy at elaboration).
@@ -75,15 +69,15 @@ struct TimingArc {
 };
 static_assert(sizeof(TimingArc) == 64, "TimingArc should fill one cache line");
 
-/// Outputs of one arc evaluation (mirrors DelayResult).
+/// Outputs of one arc evaluation.
 struct ArcDelay {
   TimeNs tp = 0.0;
   TimeNs tau_out = 0.0;
   bool filtered = false;         ///< DDM T <= T0 pulse annihilation
   TimeNs inertial_window = 0.0;  ///< CDM classical window; 0 disables
 
-  /// Applies the per-instance derating exactly where VariationDelayModel
-  /// did: after the full model computation, to every time-valued output.
+  /// Applies the per-instance derating: after the full model computation,
+  /// to every time-valued output.
   void factor_scale(double k) {
     tp *= k;
     tau_out *= k;
@@ -95,15 +89,14 @@ struct ArcDelay {
 /// linear extrapolation); a non-positive tau means "instant recovery", so
 /// elaboration clamps to a tiny positive constant -- the exponential then
 /// evaluates to ~1 (no degradation) past T0 and the T <= T0 collapse still
-/// applies.  Value shared with the DelayModel reference implementation.
+/// applies.
 inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
 
 /// Folds one (cell, pin, out-edge) against the static load `cl` under
-/// `policy`, with per-instance derating `factor` (1.0 = nominal).
+/// `policy`, at nominal derating (factor 1.0).
 [[nodiscard]] inline TimingArc elaborate_arc(const Cell& cell, int pin, Edge out_edge,
                                              Farad cl, Volt vdd,
-                                             const TimingPolicy& policy,
-                                             double factor = 1.0) {
+                                             const TimingPolicy& policy) {
   require(pin >= 0 && pin < static_cast<int>(cell.pins.size()),
           "elaborate_arc(): pin out of range");
   const EdgeTiming& edge = cell.pins[static_cast<std::size_t>(pin)].edge(out_edge);
@@ -111,7 +104,6 @@ inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
   arc.tp_base = edge.p0 + edge.p_load * cl;
   arc.p_slew = edge.p_slew;
   arc.tau_out = cell.drive.tau_out(out_edge, cl);
-  arc.factor = factor;
   if (policy.degradation) {
     arc.flags |= kArcDegradation;
     arc.deg_tau = std::max(edge.deg_tau(cl, vdd), kMinDegradationTau);
@@ -167,9 +159,15 @@ inline constexpr TimeNs kMinDegradationTau = 1e-6;  // 1 femtosecond, in ns
   return result;
 }
 
+/// Largest variation sigma.  exp(sigma * z) with |z| <= 8.65 (below)
+/// overflows to Inf near sigma 82, and an Inf factor turns ramps into NaN;
+/// at 10 the largest factor is exp(86.5) ~= 4e37, so derated times stay
+/// far from overflow too.
+inline constexpr double kMaxVariationSigma = 10.0;
+
 /// Deterministic per-(seed, gate) lognormal derating factor
-/// exp(sigma * z), z ~ N(0,1): two splitmix64 draws -> Box-Muller.  The
-/// TimingGraph builder and VariationDelayModel share this one definition.
+/// exp(sigma * z), z ~ N(0,1): two splitmix64 draws -> Box-Muller, so
+/// |z| <= sqrt(2 ln 2^54) ~= 8.65.
 [[nodiscard]] inline double variation_factor(std::uint64_t seed, double sigma,
                                              GateId gate) {
   const auto mix = [](std::uint64_t x) {

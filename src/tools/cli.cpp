@@ -146,7 +146,8 @@ constexpr FlagSpec kFlags[] = {
     {kFault, "atpg", kBool, "", "generate test vectors instead of grading --stim"},
     {kFault, "candidates", kUnsigned, "N", "ATPG candidate words (default 200)", 0, 1, kIntMax},
     {kFault | kVariation, "seed", kUnsigned, "N", "random seed (decimal or 0x hex)"},
-    {kVariation, "sigma", kNumber, "S", "lognormal per-gate delay spread (default 0.1)"},
+    {kVariation, "sigma", kNumber, "S", "lognormal per-gate delay spread, 0..10 (default 0.1)",
+     0, 0, kMaxVariationSigma},
     {kVariation, "samples", kUnsigned, "N", "Monte-Carlo samples (default 200)", 0, 1},
     {kVariation | kAnalog, "csv", kPath, "F", "write per-sample / voltage-trace CSV"},
     {kVariation | kLint | kConvert | kRepro, "out", kPath, "F", "output file (repro: a directory)"},

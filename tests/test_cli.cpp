@@ -263,6 +263,11 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
   expect_usage({"variation", "--netlist", netlist, "--stim", stim,
                 "--sigma", "-0.5"},
                "--sigma must be >= 0");
+  // Derating factors exp(sigma * z) stay finite only up to sigma 10.
+  for (const char* sigma : {"1000", "10.5"}) {
+    expect_usage({"variation", "--netlist", netlist, "--stim", stim, "--sigma", sigma},
+                 "--sigma must be <= 10");
+  }
 
   expect_usage({"sim", "--netlist", netlist, "--stim", stim, "--replay"},
                "sim --replay needs --sdf");

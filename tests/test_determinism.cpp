@@ -79,23 +79,27 @@ TEST_F(DeterminismTest, RepeatedRunsIdenticalAcrossDelayModels) {
   const DdmDelayModel ddm;
   const CdmDelayModel cdm;
   const CdmDelayModel cdm_strict(CdmDelayModel::InertialWindow::kGateDelay);
-  const VariationDelayModel varied(ddm, 0.08, 1234);
   const auto words = random_word_stream(8, 24, 99);
 
-  for (const DelayModel* model :
-       {static_cast<const DelayModel*>(&ddm), static_cast<const DelayModel*>(&cdm),
-        static_cast<const DelayModel*>(&cdm_strict),
-        static_cast<const DelayModel*>(&varied)}) {
+  // The three model policies, plus a DDM variation corner (sigma 0.08).
+  struct Case {
+    const DelayModel* model;
+    double sigma;
+  };
+  for (const Case& c : {Case{&ddm, 0.0}, Case{&cdm, 0.0}, Case{&cdm_strict, 0.0},
+                        Case{&ddm, 0.08}}) {
     MultiplierCircuit mult = make_multiplier(lib_, 4);
-    Simulator first(mult.netlist, *model);
+    TimingGraph graph = TimingGraph::build(mult.netlist, c.model->timing_policy());
+    if (c.sigma != 0.0) graph.apply_variation(c.sigma, 1234);
+    Simulator first(mult.netlist, *c.model, graph);
     first.apply_stimulus(multiplier_stimulus(mult, words));
     const RunResult r1 = first.run();
 
-    Simulator second(mult.netlist, *model);
+    Simulator second(mult.netlist, *c.model, graph);
     second.apply_stimulus(multiplier_stimulus(mult, words));
     const RunResult r2 = second.run();
 
-    SCOPED_TRACE(std::string(model->name()));
+    SCOPED_TRACE(std::string(c.model->name()) + " sigma " + std::to_string(c.sigma));
     EXPECT_EQ(r1.reason, r2.reason);
     EXPECT_EQ(r1.end_time, r2.end_time);
     expect_stats_identical(first.stats(), second.stats());
@@ -235,10 +239,7 @@ std::pair<std::uint64_t, std::uint64_t> replay_sample_hashes(const Library& lib)
   replay::ResimEngine engine(mult.netlist, ddm, stim, SimConfig{});
   engine.record();
   TimingGraph corner = engine.base_graph();
-  const std::uint64_t seed = SplitMix64(0x5EEDBA5EULL).next();
-  for (std::uint32_t g = 0; g < static_cast<std::uint32_t>(corner.num_gates()); ++g) {
-    corner.scale_gate_factor(GateId{g}, variation_factor(seed, 1e-8, GateId{g}));
-  }
+  corner.apply_variation(1e-8, SplitMix64(0x5EEDBA5EULL).next());
 
   replay::ResimSession session(engine);
   const replay::ResimSample sample = session.evaluate(corner, mult.s, /*want_hash=*/true);

@@ -1,7 +1,7 @@
 // Tests for the elaborated TimingGraph: arc elaboration against the macro
-// models, bit-exact agreement between eval_arc() and the DelayModel
-// reference implementations, the shared-graph simulator and STA paths, and
-// SDF back-annotation.
+// models, bit-exact agreement between the graph's arcs and arcs elaborated
+// one at a time, per-instance variation, the shared-graph simulator and STA
+// paths, and SDF back-annotation.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -68,51 +68,60 @@ TEST_F(TimingGraphTest, CdmPolicyUsesMidswingThresholdsAndNoDegradation) {
   EXPECT_EQ(graph.threshold_fraction(GateId{0}, 0), 0.5);
 }
 
-/// The agreement theorem: eval_arc over the elaborated arc must reproduce
-/// the virtual reference implementation bit for bit, for every model
-/// flavour, over a grid of operating points.
+/// The agreement theorem: eval_arc over the graph's elaborated arc must
+/// reproduce the arc elaborate_arc() folds for one (cell, pin, edge, CL)
+/// bit for bit, for every model flavour, over a grid of operating points.
+/// A variation corner (TimingGraph::apply_variation) must equal the
+/// unscaled evaluation with its gate's factor applied last.
 TEST_F(TimingGraphTest, ArcEvalBitIdenticalToModelCompute) {
   C17Circuit c17 = make_c17(lib_);
   const DdmDelayModel ddm;
   const CdmDelayModel cdm;
   const CdmDelayModel cdm_classical(CdmDelayModel::InertialWindow::kGateDelay);
   const CdmDelayModel cdm_fixed(CdmDelayModel::InertialWindow::kFixed, 0.35);
-  const VariationDelayModel varied(ddm, 0.08, 42);
+  constexpr double kSigma = 0.08;
+  constexpr std::uint64_t kSeed = 42;
 
   for (const DelayModel* model :
        {static_cast<const DelayModel*>(&ddm), static_cast<const DelayModel*>(&cdm),
         static_cast<const DelayModel*>(&cdm_classical),
-        static_cast<const DelayModel*>(&cdm_fixed),
-        static_cast<const DelayModel*>(&varied)}) {
+        static_cast<const DelayModel*>(&cdm_fixed)}) {
+    const TimingPolicy policy = model->timing_policy();
     const TimingGraph graph = graph_for(c17.netlist, *model);
+    TimingGraph varied = graph;
+    varied.apply_variation(kSigma, kSeed);
     for (std::size_t g = 0; g < c17.netlist.num_gates(); ++g) {
       const GateId gid{static_cast<GateId::underlying_type>(g)};
       const Gate& gate = c17.netlist.gate(gid);
+      const double factor = variation_factor(kSeed, kSigma, gid);
       for (int pin = 0; pin < static_cast<int>(gate.inputs.size()); ++pin) {
         for (const Edge edge : {Edge::kRise, Edge::kFall}) {
-          const TimingArc& arc = graph.arc(graph.arc_id(gid, pin, edge));
+          const std::uint32_t id = graph.arc_id(gid, pin, edge);
+          const TimingArc single =
+              elaborate_arc(c17.netlist.cell_of(gid), pin, edge,
+                            c17.netlist.load_of(gate.output), lib_.vdd(), policy);
           for (const TimeNs tau_in : {0.2, 0.5, 1.3}) {
             for (const std::optional<TimeNs> prev :
                  {std::optional<TimeNs>{}, std::optional<TimeNs>{9.95},
                   std::optional<TimeNs>{8.0}}) {
-              DelayRequest request;
-              request.cell = &c17.netlist.cell_of(gid);
-              request.gate = gid;
-              request.pin = pin;
-              request.out_edge = edge;
-              request.cl = c17.netlist.load_of(gate.output);
-              request.tau_in = tau_in;
-              request.t_in50 = 10.0;
-              request.t_event = 10.0;
-              request.t_prev_out50 = prev;
-              request.vdd = lib_.vdd();
-              const DelayResult expected = model->compute(request);
-              const ArcDelay got = eval_arc(arc, tau_in, request.t_event,
-                                            prev.has_value(), prev.value_or(0.0));
+              const auto eval = [&](const TimingArc& arc) {
+                return eval_arc(arc, tau_in, /*t_event=*/10.0, prev.has_value(),
+                                prev.value_or(0.0));
+              };
+              const ArcDelay expected = eval(single);
+              const ArcDelay got = eval(graph.arc(id));
               EXPECT_EQ(got.tp, expected.tp);
               EXPECT_EQ(got.tau_out, expected.tau_out);
               EXPECT_EQ(got.filtered, expected.filtered);
               EXPECT_EQ(got.inertial_window, expected.inertial_window);
+
+              ArcDelay scaled = expected;
+              scaled.factor_scale(factor);
+              const ArcDelay got_varied = eval(varied.arc(id));
+              EXPECT_EQ(got_varied.tp, scaled.tp);
+              EXPECT_EQ(got_varied.tau_out, scaled.tau_out);
+              EXPECT_EQ(got_varied.filtered, scaled.filtered);
+              EXPECT_EQ(got_varied.inertial_window, scaled.inertial_window);
             }
           }
         }
@@ -121,18 +130,24 @@ TEST_F(TimingGraphTest, ArcEvalBitIdenticalToModelCompute) {
   }
 }
 
-TEST_F(TimingGraphTest, VariationPolicyFoldsPerInstanceFactors) {
+TEST_F(TimingGraphTest, VariationScalesEveryArcOfAGateByItsFactor) {
   C17Circuit c17 = make_c17(lib_);
-  const DdmDelayModel ddm;
-  const VariationDelayModel varied(ddm, 0.1, 7);
-  const TimingGraph graph = graph_for(c17.netlist, varied);
+  TimingGraph graph = graph_for(c17.netlist, DdmDelayModel{});
+  graph.apply_variation(0.1, 7);
   for (std::size_t g = 0; g < c17.netlist.num_gates(); ++g) {
     const GateId gid{static_cast<GateId::underlying_type>(g)};
-    EXPECT_EQ(graph.arc(graph.arc_id(gid, 0, Edge::kRise)).factor, varied.factor(gid));
+    const Gate& gate = c17.netlist.gate(gid);
+    for (int pin = 0; pin < static_cast<int>(gate.inputs.size()); ++pin) {
+      for (const Edge edge : {Edge::kRise, Edge::kFall}) {
+        EXPECT_EQ(graph.arc(graph.arc_id(gid, pin, edge)).factor,
+                  variation_factor(7, 0.1, gid));
+      }
+    }
   }
-  // Stacking variation on variation is rejected.
-  const VariationDelayModel stacked(varied, 0.1, 8);
-  EXPECT_THROW((void)stacked.timing_policy(), ContractViolation);
+  // A second corner multiplies onto the first.
+  graph.apply_variation(0.1, 8);
+  EXPECT_EQ(graph.arc(graph.arc_id(GateId{0}, 0, Edge::kRise)).factor,
+            variation_factor(7, 0.1, GateId{0}) * variation_factor(8, 0.1, GateId{0}));
 }
 
 TEST_F(TimingGraphTest, ThresholdOutsideSwingRejected) {
@@ -175,41 +190,6 @@ TEST_F(TimingGraphTest, SharedGraphSimulationBitIdenticalToInternalBuild) {
       EXPECT_EQ(a[i].edge, b[i].edge);
     }
   }
-}
-
-TEST_F(TimingGraphTest, VariationGraphSimulationMatchesWrapperModel) {
-  ChainCircuit chain = make_chain(lib_, 6);
-  const DdmDelayModel ddm;
-  const VariationDelayModel varied(ddm, 0.12, 1234);
-
-  Stimulus stim(0.5);
-  stim.add_edge(chain.nodes[0], 2.0, true, 0.5);
-  stim.add_edge(chain.nodes[0], 7.0, false, 0.5);
-
-  // The wrapper computes nominal then scales; the graph folds the same
-  // factor into the arc.  Same histories, bit for bit.
-  Simulator wrapper(chain.netlist, varied);
-  wrapper.apply_stimulus(stim);
-  (void)wrapper.run();
-  const TimingGraph graph = graph_for(chain.netlist, varied);
-  Simulator graph_sim(chain.netlist, varied, graph);
-  graph_sim.apply_stimulus(stim);
-  (void)graph_sim.run();
-
-  const SignalId out = chain.nodes.back();
-  const auto a = wrapper.history(out);
-  const auto b = graph_sim.history(out);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].t_start, b[i].t_start);
-    EXPECT_EQ(a[i].tau, b[i].tau);
-  }
-  // And the derated timing differs from nominal (the factor is real).
-  Simulator nominal(chain.netlist, ddm);
-  nominal.apply_stimulus(stim);
-  (void)nominal.run();
-  EXPECT_NE(nominal.history(out)[0].t_start, a[0].t_start);
 }
 
 TEST_F(TimingGraphTest, StaSharedGraphMatchesLegacyConstructor) {

@@ -1,11 +1,13 @@
-// Tests for the per-instance variation delay model and the replay-backed
-// variation engine.
+// Tests for per-instance process variation (TimingGraph::apply_variation)
+// and the replay-backed variation engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
+#include "src/base/check.hpp"
 #include "src/base/mathfit.hpp"
+#include "src/base/rng.hpp"
 #include "src/circuits/generators.hpp"
 #include "src/circuits/stimuli.hpp"
 #include "src/core/simulator.hpp"
@@ -16,30 +18,36 @@ namespace {
 
 class VariationTest : public ::testing::Test {
  protected:
+  /// The DDM graph of `netlist` under one variation corner.
+  TimingGraph corner(const Netlist& netlist, double sigma, std::uint64_t seed) const {
+    TimingGraph graph = TimingGraph::build(netlist, ddm_.timing_policy());
+    graph.apply_variation(sigma, seed);
+    return graph;
+  }
+
   Library lib_ = Library::default_u6();
   DdmDelayModel ddm_;
 };
 
 TEST_F(VariationTest, FactorsAreDeterministicPerSeedAndGate) {
-  const VariationDelayModel a(ddm_, 0.1, 42);
-  const VariationDelayModel b(ddm_, 0.1, 42);
-  const VariationDelayModel c(ddm_, 0.1, 43);
   for (unsigned g = 0; g < 50; ++g) {
-    EXPECT_DOUBLE_EQ(a.factor(GateId{g}), b.factor(GateId{g}));
+    EXPECT_DOUBLE_EQ(variation_factor(42, 0.1, GateId{g}),
+                     variation_factor(42, 0.1, GateId{g}));
   }
   int differing = 0;
   for (unsigned g = 0; g < 50; ++g) {
-    if (a.factor(GateId{g}) != c.factor(GateId{g})) ++differing;
+    if (variation_factor(42, 0.1, GateId{g}) != variation_factor(43, 0.1, GateId{g})) {
+      ++differing;
+    }
   }
   EXPECT_GT(differing, 45);  // different seed: different corner
 }
 
 TEST_F(VariationTest, FactorsAreRoughlyLognormal) {
   const double sigma = 0.2;
-  const VariationDelayModel model(ddm_, sigma, 7);
   std::vector<double> logs;
   for (unsigned g = 0; g < 4000; ++g) {
-    const double f = model.factor(GateId{g});
+    const double f = variation_factor(7, sigma, GateId{g});
     EXPECT_GT(f, 0.0);
     logs.push_back(std::log(f));
   }
@@ -48,7 +56,6 @@ TEST_F(VariationTest, FactorsAreRoughlyLognormal) {
 }
 
 TEST_F(VariationTest, ZeroSigmaIsIdentity) {
-  const VariationDelayModel model(ddm_, 0.0, 9);
   ChainCircuit chain = make_chain(lib_, 3);
   Stimulus stim(0.4);
   stim.add_edge(chain.nodes[0], 2.0, true);
@@ -56,7 +63,8 @@ TEST_F(VariationTest, ZeroSigmaIsIdentity) {
   Simulator base_sim(chain.netlist, ddm_);
   base_sim.apply_stimulus(stim);
   (void)base_sim.run();
-  Simulator var_sim(chain.netlist, model);
+  const TimingGraph graph = corner(chain.netlist, 0.0, 9);
+  Simulator var_sim(chain.netlist, ddm_, graph);
   var_sim.apply_stimulus(stim);
   (void)var_sim.run();
 
@@ -80,8 +88,8 @@ TEST_F(VariationTest, VariationShiftsArrivalTimes) {
 
   int shifted = 0;
   for (unsigned seed = 0; seed < 10; ++seed) {
-    const VariationDelayModel model(ddm_, 0.15, seed);
-    Simulator sim(chain.netlist, model);
+    const TimingGraph graph = corner(chain.netlist, 0.15, seed);
+    Simulator sim(chain.netlist, ddm_, graph);
     sim.apply_stimulus(stim);
     (void)sim.run();
     const TimeNs t = sim.history(chain.nodes.back())[0].t50();
@@ -94,10 +102,55 @@ TEST_F(VariationTest, VariationShiftsArrivalTimes) {
 }
 
 TEST_F(VariationTest, ThresholdsUntouched) {
-  const VariationDelayModel model(ddm_, 0.3, 5);
-  const Cell& lvt = lib_.cell(lib_.find("INV_LVT"));
-  EXPECT_DOUBLE_EQ(model.event_threshold(lvt, 0, 5.0),
-                   ddm_.event_threshold(lvt, 0, 5.0));
+  // The low-VT inverter's per-pin threshold (DDM) must survive a corner.
+  Netlist netlist(lib_);
+  const SignalId a = netlist.add_primary_input("a");
+  const SignalId y = netlist.add_signal("y");
+  netlist.mark_primary_output(y);
+  const SignalId inputs[] = {a};
+  (void)netlist.add_gate("g", lib_.find("INV_LVT"), inputs, y);
+  const TimingGraph nominal = TimingGraph::build(netlist, ddm_.timing_policy());
+  const TimingGraph varied = corner(netlist, 0.3, 5);
+  EXPECT_NE(varied.arc(0).factor, 1.0);
+  EXPECT_EQ(varied.threshold_fraction(GateId{0}, 0), nominal.threshold_fraction(GateId{0}, 0));
+}
+
+/// The largest accepted sigma keeps every derated waveform finite (the
+/// factors reach ~1e37, not Inf), and a larger one is rejected.
+TEST_F(VariationTest, LargestSigmaKeepsHistoriesFinite) {
+  MultiplierCircuit mult = make_multiplier(lib_, 4);
+  std::vector<SignalId> inputs = mult.a;
+  inputs.insert(inputs.end(), mult.b.begin(), mult.b.end());
+  Stimulus stim = staggered_random_stimulus(inputs, 8, 555);
+  stim.set_initial(mult.tie0, false);
+
+  SplitMix64 seeds(10);
+  for (int sample = 0; sample < 20; ++sample) {
+    const TimingGraph graph = corner(mult.netlist, kMaxVariationSigma, seeds.next());
+    Simulator sim(mult.netlist, ddm_, graph);
+    sim.apply_stimulus(stim);
+    (void)sim.run();
+    for (std::size_t s = 0; s < mult.netlist.num_signals(); ++s) {
+      const SignalId sid{static_cast<SignalId::underlying_type>(s)};
+      for (const Transition& tr : sim.history(sid)) {
+        ASSERT_TRUE(std::isfinite(tr.t_start) && std::isfinite(tr.tau))
+            << "sample " << sample << " signal " << mult.netlist.signal(sid).name;
+      }
+    }
+  }
+
+  replay::VariationConfig config;
+  config.sigma = kMaxVariationSigma;
+  config.samples = 20;
+  config.use_replay = true;
+  const replay::VariationResult result =
+      replay::run_variation(mult.netlist, ddm_, stim, mult.s, config);
+  for (const replay::VariationSampleRow& row : result.rows) {
+    EXPECT_TRUE(std::isfinite(row.critical_t50));
+  }
+  config.sigma = std::nextafter(kMaxVariationSigma, 11.0);
+  EXPECT_THROW((void)replay::run_variation(mult.netlist, ddm_, stim, mult.s, config),
+               ContractViolation);
 }
 
 // ---- replay-backed variation engine ----------------------------------------
