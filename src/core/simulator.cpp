@@ -258,7 +258,7 @@ void Simulator::spawn_events(TransitionId tr_id) {
   const std::uint32_t begin = fanout_base_[sig];
   // A transition on the stuck-at site is gagged: receivers perceive the
   // injected constant, so the line's ramps generate no events (the
-  // apply_fault() rewiring, without the netlist copy).
+  // constant-net rewiring, without the netlist copy).
   const std::uint32_t end =
       tr.signal == fault_signal_ ? begin : fanout_base_[sig + 1];
   const bool rising = tr.edge == Edge::kRise;

@@ -145,8 +145,8 @@ class Simulator {
   /// every receiver of `signal` perceives the constant `value` for the whole
   /// run (steady-state initialization included) and transitions on `signal`
   /// generate no events -- exactly the observable behaviour of rewiring the
-  /// line's receivers to a constant net (apply_fault()), without copying the
-  /// netlist or rebuilding the static tables.  The signal's own history
+  /// line's receivers to a constant net (the test suite's fault oracle),
+  /// without copying the netlist or rebuilding the static tables.  The signal's own history
   /// still records its driver, which feeds nothing; a faulted primary
   /// *output* must be observed as the constant by the caller.  Cleared by
   /// reset().

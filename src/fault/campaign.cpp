@@ -47,7 +47,7 @@ bool simulate_fault(Simulator& sim, const CampaignPlan& plan, std::size_t index,
   sim.apply_stimulus(*plan.stimulus);
 
   // A faulted primary output is observed as the stuck constant itself
-  // (apply_fault() replaces it in the PO list); if the constant already
+  // (as if the PO list named the constant net); if the constant already
   // disagrees with any good sample, the fault is detected before
   // simulating anything.
   const std::uint32_t fault_po = plan.po_index[fault.signal.value()];
@@ -93,26 +93,12 @@ bool simulate_fault(Simulator& sim, const CampaignPlan& plan, std::size_t index,
 }  // namespace
 
 CampaignEngine::CampaignEngine(const Netlist& netlist, const DelayModel& model,
-                               int threads)
-    : netlist_(&netlist),
-      owned_timing_(std::make_unique<TimingGraph>(
-          TimingGraph::build(netlist, model.timing_policy()))),
-      timing_(owned_timing_.get()),
-      pool_(threads),
-      good_(netlist, model, *timing_) {
-  // One timing elaboration serves the good machine and every worker: the
-  // campaign's thousands of faulty runs all read the same arc table.
-  sims_.reserve(static_cast<std::size_t>(pool_.size()));
-  for (int w = 0; w < pool_.size(); ++w) {
-    sims_.push_back(std::make_unique<Simulator>(netlist, model, *timing_));
-  }
-}
-
-CampaignEngine::CampaignEngine(const Netlist& netlist, const DelayModel& model,
                                const TimingGraph& timing, int threads)
-    : netlist_(&netlist), timing_(&timing), pool_(threads), good_(netlist, model, timing) {
+    : netlist_(&netlist), pool_(threads), good_(netlist, model, timing) {
   require(&timing.netlist() == &netlist,
           "CampaignEngine: TimingGraph was elaborated over a different netlist");
+  // One timing elaboration serves the good machine and every worker: the
+  // campaign's thousands of faulty runs all read the same arc table.
   sims_.reserve(static_cast<std::size_t>(pool_.size()));
   for (int w = 0; w < pool_.size(); ++w) {
     sims_.push_back(std::make_unique<Simulator>(netlist, model, timing));
@@ -127,7 +113,6 @@ void CampaignEngine::supervise(const RunSupervisor* supervisor) {
 
 CampaignResult CampaignEngine::run(const Stimulus& stimulus, std::vector<Fault> faults,
                                    const FaultSimOptions& sampling, bool early_exit) {
-  require(sampling.sample_period > 0.0, "CampaignEngine::run(): period must be positive");
   if (faults.empty()) faults = enumerate_faults(*netlist_);
   for (const Fault& fault : faults) {
     require(fault.signal.valid() && fault.signal.value() < netlist_->num_signals(),
@@ -231,14 +216,6 @@ CampaignResult CampaignEngine::run(const Stimulus& stimulus, std::vector<Fault> 
   result.events_processed = good_.stats().events_processed;
   for (const std::uint64_t e : worker_events) result.events_processed += e;
   return result;
-}
-
-CampaignResult run_fault_campaign(const Netlist& netlist, const Stimulus& stimulus,
-                                  const DelayModel& model, std::vector<Fault> faults,
-                                  CampaignOptions options) {
-  CampaignEngine engine(netlist, model, options.threads);
-  engine.supervise(options.supervisor);
-  return engine.run(stimulus, std::move(faults), options.sampling, options.early_exit);
 }
 
 }  // namespace halotis

@@ -1,12 +1,14 @@
-// Parallel stuck-at fault-campaign engine.
+// Parallel stuck-at fault-campaign engine: the one fault simulator.
 //
-// The legacy run_fault_simulation() rebuilds a full netlist copy and a
-// fresh Simulator per fault and replays the complete stimulus even when the
-// fault is observable at the first sample.  The campaign engine removes all
-// three costs:
+// The textbook fault simulator rebuilds a full netlist copy (receivers of
+// the faulted line rewired to a constant net) and a fresh Simulator per
+// fault and replays the complete stimulus even when the fault is
+// observable at the first sample.  The test suite keeps that simulator as
+// this engine's oracle; the engine itself removes all three costs:
 //
-//   * each worker owns ONE reusable Simulator on the *good* netlist
-//     (static tables built once); per fault it reset()s the dynamic state
+//   * each worker owns ONE reusable Simulator on the *good* netlist, all of
+//     them reading the caller's one elaborated TimingGraph (the daemon's
+//     cached graph on a warm hit); per fault it reset()s the dynamic state
 //     and injects the stuck-at site (Simulator::inject_stuck_at), so no
 //     netlist copy and no table rebuild ever happens;
 //   * the fault list is sharded across a WorkerPool by an atomic ticket,
@@ -18,8 +20,7 @@
 // Determinism: every fault's verdict depends only on its own single-fault
 // run, and verdicts are aggregated in fault-index order after the sweep, so
 // the detected set, the coverage and every derived number are bit-identical
-// for any thread count (and identical to the legacy serial engine's
-// verdicts).
+// for any thread count (and identical to the rewiring oracle's verdicts).
 //
 // Early-exit exactness: a sample is evaluated only after the run has
 // advanced to the *next* sample instant (one-segment lag) or finished, so
@@ -41,15 +42,6 @@
 #include "src/timing/timing_graph.hpp"
 
 namespace halotis {
-
-struct CampaignOptions {
-  FaultSimOptions sampling;  ///< sample alignment shared with the legacy engine
-  int threads = 0;           ///< worker count; 0 = one per hardware thread
-  bool early_exit = true;    ///< stop a faulty run at the first divergence
-  /// Optional run supervision (must outlive the call); see
-  /// CampaignEngine::supervise for the failure semantics.
-  const RunSupervisor* supervisor = nullptr;
-};
 
 /// Per-fault verdict bytes (CampaignResult::verdicts).
 inline constexpr std::uint8_t kVerdictUndetected = 0;
@@ -88,17 +80,13 @@ struct CampaignResult {
 /// alive across runs) and one Simulator per worker plus the good-machine
 /// Simulator (static tables built once, dynamic state recycled per run).
 /// ATPG constructs one engine and evaluates every candidate vector through
-/// it; one-shot callers can use the run_fault_campaign() convenience
-/// wrapper.  `netlist` and `model` must outlive the engine.  Not
-/// thread-safe: one run() at a time.
+/// it.  Not thread-safe: one run() at a time.
 class CampaignEngine {
  public:
-  CampaignEngine(const Netlist& netlist, const DelayModel& model, int threads = 0);
-
-  /// Runs on an externally elaborated TimingGraph (the daemon's cached
-  /// elaboration path): `timing` must be built over this same `netlist`
-  /// under the model's policy and must outlive the engine.  Verdicts are
-  /// bit-identical to the internally-elaborating constructor.
+  /// `timing` must be elaborated over this same `netlist` under the model's
+  /// policy; `halotis fault` passes the shared elaboration's graph (the
+  /// daemon's cached one on a warm hit).  `netlist`, `model` and `timing`
+  /// must outlive the engine; 0 threads means one per hardware thread.
   CampaignEngine(const Netlist& netlist, const DelayModel& model, const TimingGraph& timing,
                  int threads = 0);
   /// A temporary graph would dangle: bind it to a variable first.
@@ -118,10 +106,11 @@ class CampaignEngine {
   [[nodiscard]] const RunSupervisor* supervisor() const { return supervisor_; }
 
   /// Simulates every fault in `faults` (or all 2N enumerated faults when
-  /// empty) against `stimulus`.  Verdict semantics match
-  /// run_fault_simulation(): a fault is detected iff some primary output
-  /// differs from the good machine at some aligned sample instant, with a
-  /// faulted primary output observed as the stuck constant itself.
+  /// empty) against `stimulus`: a fault is detected iff some primary output
+  /// differs from the good machine at some fault_sample_times() instant,
+  /// with a faulted primary output observed as the stuck constant itself.
+  /// `early_exit` stops each faulty run at its first divergence; verdicts
+  /// are identical either way.
   [[nodiscard]] CampaignResult run(const Stimulus& stimulus,
                                    std::vector<Fault> faults = {},
                                    const FaultSimOptions& sampling = {},
@@ -129,22 +118,10 @@ class CampaignEngine {
 
  private:
   const Netlist* netlist_;
-  /// The one elaborated timing database shared (read-only) by the good
-  /// machine and every worker Simulator.  Owned when this engine elaborated
-  /// it; borrowed (null `owned_timing_`) on the external-graph path.
-  std::unique_ptr<TimingGraph> owned_timing_;
-  const TimingGraph* timing_;
   WorkerPool pool_;
   Simulator good_;
   std::vector<std::unique_ptr<Simulator>> sims_;  ///< one per worker
   const RunSupervisor* supervisor_ = nullptr;
 };
-
-/// One-shot convenience wrapper: builds a CampaignEngine for this call.
-[[nodiscard]] CampaignResult run_fault_campaign(const Netlist& netlist,
-                                                const Stimulus& stimulus,
-                                                const DelayModel& model,
-                                                std::vector<Fault> faults = {},
-                                                CampaignOptions options = {});
 
 }  // namespace halotis

@@ -1,7 +1,7 @@
 #include "src/fault/fault.hpp"
 
-#include <algorithm>
 #include <span>
+#include <string>
 
 #include "src/base/check.hpp"
 #include "src/base/rng.hpp"
@@ -20,126 +20,34 @@ std::vector<Fault> enumerate_faults(const Netlist& netlist) {
   return faults;
 }
 
-FaultyMachine apply_fault(const Netlist& netlist, const Fault& fault) {
-  require(fault.signal.valid() && fault.signal.value() < netlist.num_signals(),
-          "apply_fault(): invalid fault site");
-  FaultyMachine machine(netlist.library());
-  Netlist& out = machine.netlist;
-
-  // Recreate signals in id order so SignalIds line up 1:1 with the good
-  // machine; append the constant fault net last.
-  for (std::size_t s = 0; s < netlist.num_signals(); ++s) {
-    const SignalId sid{static_cast<SignalId::underlying_type>(s)};
-    const Signal& sig = netlist.signal(sid);
-    const SignalId copy =
-        sig.is_primary_input ? out.add_primary_input(sig.name) : out.add_signal(sig.name);
-    ensure(copy.value() == sid.value(), "apply_fault(): signal id mismatch");
-    if (sig.wire_cap > 0.0) out.set_wire_cap(copy, sig.wire_cap);
-  }
-  machine.fault_net = out.add_primary_input("__fault");
-
-  const auto redirect = [&](SignalId in) {
-    return in == fault.signal ? machine.fault_net : in;
-  };
-  for (std::size_t g = 0; g < netlist.num_gates(); ++g) {
-    const GateId gid{static_cast<GateId::underlying_type>(g)};
-    const Gate& gate = netlist.gate(gid);
-    std::vector<SignalId> ins;
-    ins.reserve(gate.inputs.size());
-    for (const SignalId in : gate.inputs) ins.push_back(redirect(in));
-    (void)out.add_gate(gate.name, gate.cell, ins, gate.output);
-  }
-  for (const SignalId po : netlist.primary_outputs()) {
-    // A faulted PO is observed as the constant itself.
-    out.mark_primary_output(po == fault.signal ? machine.fault_net : po);
-  }
-  return machine;
-}
-
 std::vector<TimeNs> fault_sample_times(const Stimulus& stimulus,
                                        const FaultSimOptions& options) {
-  require(options.sample_period > 0.0, "fault_sample_times(): period must be positive");
-  require(options.sample_epsilon > 0.0 && options.sample_epsilon < options.sample_period,
-          "fault_sample_times(): epsilon must lie inside the period");
+  require(options.sample_period > kSampleEpsilon,
+          "fault_sample_times(): the sample period must exceed kSampleEpsilon");
   const std::vector<TimeNs> applied = stimulus.edge_times();
   std::vector<TimeNs> times;
   if (applied.empty()) {
     // No vectors at all: a single settled observation of the initial state.
-    times.push_back(options.sample_period - options.sample_epsilon);
+    times.push_back(options.sample_period - kSampleEpsilon);
     return times;
   }
   // Initial-state observation, just before the first vector lands.  (A
   // vector applied at t = 0 leaves no initial window to observe.)
-  if (applied.front() > options.sample_epsilon) {
-    times.push_back(applied.front() - options.sample_epsilon);
+  if (applied.front() > kSampleEpsilon) {
+    times.push_back(applied.front() - kSampleEpsilon);
   }
   // One observation per applied vector, taken when its response has settled:
   // just before the next vector lands, or after one period of hold for the
-  // last vector.  The old k*period grid observed the pre-vector initial
-  // state as sample 1 and drifted off any stimulus whose application
-  // instants were not multiples of the sample period, silently skipping
-  // vectors -- including the last one under an explicit num_samples budget.
-  const std::size_t limit =
-      options.num_samples > 0
-          ? std::min(applied.size(), static_cast<std::size_t>(options.num_samples))
-          : applied.size();
-  for (std::size_t j = 0; j < limit; ++j) {
+  // last vector.  A k*period grid would drift off any stimulus whose
+  // application instants are not multiples of the sample period and skip
+  // vectors.
+  for (std::size_t j = 0; j < applied.size(); ++j) {
     const TimeNs settled_until = j + 1 < applied.size()
                                      ? applied[j + 1]
                                      : applied[j] + options.sample_period;
-    times.push_back(settled_until - options.sample_epsilon);
+    times.push_back(settled_until - kSampleEpsilon);
   }
   return times;
-}
-
-FaultSimResult run_fault_simulation(const Netlist& netlist, const Stimulus& stimulus,
-                                    const DelayModel& model, std::vector<Fault> faults,
-                                    FaultSimOptions options) {
-  require(options.sample_period > 0.0, "run_fault_simulation(): period must be positive");
-  if (faults.empty()) faults = enumerate_faults(netlist);
-  const std::vector<TimeNs> times = fault_sample_times(stimulus, options);
-
-  // Good machine reference samples.
-  Simulator good(netlist, model);
-  good.apply_stimulus(stimulus);
-  (void)good.run();
-  std::vector<std::vector<bool>> good_samples;
-  for (const SignalId po : netlist.primary_outputs()) {
-    std::vector<bool> row;
-    for (const TimeNs t : times) row.push_back(good.value_at(po, t));
-    good_samples.push_back(std::move(row));
-  }
-
-  FaultSimResult result;
-  result.total = faults.size();
-  for (const Fault& fault : faults) {
-    FaultyMachine machine = apply_fault(netlist, fault);
-
-    // Same stimulus, plus the fault constant.
-    Stimulus faulty_stim = stimulus;
-    faulty_stim.set_initial(machine.fault_net, fault.stuck_value);
-
-    Simulator sim(machine.netlist, model);
-    sim.apply_stimulus(faulty_stim);
-    (void)sim.run();
-
-    bool detected = false;
-    const auto pos = machine.netlist.primary_outputs();
-    for (std::size_t o = 0; o < pos.size() && !detected; ++o) {
-      for (std::size_t k = 0; k < times.size(); ++k) {
-        if (sim.value_at(pos[o], times[k]) != good_samples[o][k]) {
-          detected = true;
-          break;
-        }
-      }
-    }
-    if (detected) {
-      ++result.detected;
-    } else {
-      result.undetected.push_back(fault);
-    }
-  }
-  return result;
 }
 
 std::string fault_name(const Netlist& netlist, const Fault& fault) {
@@ -156,14 +64,17 @@ Stimulus make_vector_stimulus(const Netlist& netlist, std::span<const std::uint6
 }
 
 AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
-                          AtpgOptions options) {
+                          const TimingGraph& timing, AtpgOptions options) {
   require(options.max_candidates > 0, "generate_tests(): need at least one candidate");
+  const auto num_inputs = netlist.primary_inputs().size();
+  require(num_inputs >= 1 && num_inputs <= 64,
+          "generate_tests(): ATPG needs 1 to 64 primary inputs, the netlist has " +
+              std::to_string(num_inputs));
   AtpgResult result;
   std::vector<Fault> remaining = enumerate_faults(netlist);
   result.total_faults = remaining.size();
 
   SplitMix64 rng(options.seed);
-  const auto num_inputs = netlist.primary_inputs().size();
   const std::uint64_t mask =
       num_inputs >= 64 ? ~0ull : ((1ull << num_inputs) - 1);
 
@@ -172,7 +83,7 @@ AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
   sampling.sample_period = options.period;
   // One engine for the whole search: the worker pool's threads and every
   // worker's Simulator survive across candidate evaluations.
-  CampaignEngine engine(netlist, model, options.threads);
+  CampaignEngine engine(netlist, model, timing, options.threads);
   engine.supervise(options.supervisor);
 
   // Incremental evaluation: detection compares *settled* primary-output
@@ -194,7 +105,7 @@ AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
     const std::uint64_t word = rng.next() & mask;
     const std::uint64_t trial[2] = {settled_word, word};
     const Stimulus stim =
-        make_vector_stimulus(netlist, trial, options.period, options.slew);
+        make_vector_stimulus(netlist, trial, options.period);
     const CampaignResult sim_result = engine.run(stim, remaining, sampling);
     if (sim_result.detected == 0) continue;  // useless vector, discard
 

@@ -1,4 +1,5 @@
-// Stuck-at fault simulation on top of the timing simulator.
+// Stuck-at fault model, output sampling and ATPG on top of the timing
+// simulator.
 //
 // A classic gate-level EDA substrate: enumerate single stuck-at faults on
 // every signal line, replay a test sequence on each faulty machine and
@@ -8,16 +9,22 @@
 // effect pure logic fault simulators cannot show: a fault whose only
 // visible difference is a glitch may be "detected" under a conventional
 // delay model yet undetectable in silicon -- the IDDM filters it.
+//
+// The one fault engine is CampaignEngine (campaign.hpp); this header holds
+// what it and the ATPG search share: the fault list, the sample instants
+// and the vector stimulus builder.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/base/supervision.hpp"
 #include "src/base/units.hpp"
 #include "src/core/delay_model.hpp"
-#include "src/core/simulator.hpp"
+#include "src/core/stimulus.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/timing/timing_graph.hpp"
 
 namespace halotis {
 
@@ -33,59 +40,26 @@ struct Fault {
 /// defects).
 [[nodiscard]] std::vector<Fault> enumerate_faults(const Netlist& netlist);
 
-/// Builds the faulty machine: a copy of `netlist` where every receiver of
-/// the faulted line is rewired to a constant net, and the faulted line
-/// itself (if a primary output) is replaced by the constant.  The returned
-/// netlist has one extra primary input named "__fault" that the fault
-/// simulator ties to the stuck value.
-struct FaultyMachine {
-  Netlist netlist;
-  SignalId fault_net;
-
-  explicit FaultyMachine(const Library& lib) : netlist(lib) {}
-};
-[[nodiscard]] FaultyMachine apply_fault(const Netlist& netlist, const Fault& fault);
+/// How far before each settled instant the fault engine samples primary
+/// outputs: one vector's response is observed kSampleEpsilon before the
+/// next vector lands.  A sample period must exceed it.
+inline constexpr TimeNs kSampleEpsilon = 0.1;
 
 struct FaultSimOptions {
   /// Hold time granted to the LAST vector: the final sample is taken at
-  /// last_application + period - epsilon.  (Earlier samples align to the
-  /// stimulus's own application instants, not to a k*period grid.)
+  /// last_application + period - kSampleEpsilon.  (Earlier samples align
+  /// to the stimulus's own application instants, not to a k*period grid.)
   TimeNs sample_period = 5.0;
-  TimeNs sample_epsilon = 0.1;
-  /// Number of vector observations; 0 observes every applied vector.  An
-  /// initial-state observation is included on top whenever the first
-  /// vector lands after t = epsilon (a vector at t = 0 leaves no initial
-  /// window to observe).
-  int num_samples = 0;
 };
 
-/// The instants the fault simulator samples primary outputs at, aligned to
-/// the stimulus's vector application times: the settled response of each
-/// applied vector is observed just before the next vector lands (epsilon
-/// early), the last one after `sample_period` of hold.  An initial-state
-/// observation precedes the first vector.  Shared by the legacy serial
-/// engine and the parallel campaign so verdicts agree.
+/// The instants the fault engine samples primary outputs at, aligned to the
+/// stimulus's vector application times: the settled response of each
+/// applied vector is observed just before the next vector lands
+/// (kSampleEpsilon early), the last one after `sample_period` of hold.  An
+/// initial-state observation precedes the first vector whenever it lands
+/// after t = kSampleEpsilon (a vector at t = 0 leaves no initial window).
 [[nodiscard]] std::vector<TimeNs> fault_sample_times(const Stimulus& stimulus,
                                                      const FaultSimOptions& options);
-
-struct FaultSimResult {
-  std::size_t total = 0;
-  std::size_t detected = 0;
-  std::vector<Fault> undetected;
-
-  [[nodiscard]] double coverage() const {
-    return total > 0 ? static_cast<double>(detected) / static_cast<double>(total) : 0.0;
-  }
-};
-
-/// Serial fault simulation of every fault in `faults` (or all, if empty)
-/// under `model`.  The same `stimulus` drives good and faulty machines;
-/// detection compares sampled primary-output values.
-[[nodiscard]] FaultSimResult run_fault_simulation(const Netlist& netlist,
-                                                  const Stimulus& stimulus,
-                                                  const DelayModel& model,
-                                                  std::vector<Fault> faults = {},
-                                                  FaultSimOptions options = {});
 
 /// Human-readable fault name, e.g. "n3/SA0".
 [[nodiscard]] std::string fault_name(const Netlist& netlist, const Fault& fault);
@@ -101,8 +75,7 @@ struct FaultSimResult {
 
 struct AtpgOptions {
   int max_candidates = 200;   ///< random vectors to try
-  TimeNs period = 5.0;
-  TimeNs slew = 0.5;
+  TimeNs period = 5.0;        ///< vector pitch and sample period (> kSampleEpsilon)
   std::uint64_t seed = 1;
   /// Worker threads for evaluating each candidate against the surviving
   /// fault set (0 = one per hardware thread).  The generated test set is
@@ -130,17 +103,19 @@ struct AtpgResult {
 };
 
 /// Greedy random-search ATPG: proposes random vectors, keeps each one that
-/// detects at least one still-undetected stuck-at fault (evaluated with the
-/// timing simulator under `model`), and stops at full coverage or after
-/// `max_candidates` proposals.  Returns the compact test set.
+/// detects at least one still-undetected stuck-at fault (evaluated by a
+/// CampaignEngine under `model` on `timing`, the caller's elaboration of
+/// `netlist` under the model's policy), and stops at full coverage or after
+/// `max_candidates` proposals.  Returns the compact test set.  The
+/// netlist needs 1 to 64 primary inputs (one word bit each).
 ///
 /// Evaluation is incremental: each candidate is simulated as the two-word
 /// stimulus {last accepted word, candidate} against the surviving fault set
 /// only -- equivalent to replaying the whole accepted prefix, because
 /// detection compares settled samples and the survivors already survived
-/// every prefix vector.  Replaying the returned `words` with
-/// run_fault_simulation() reproduces `detected` exactly.
+/// every prefix vector.  Replaying the returned `words` through the campaign
+/// reproduces `detected` exactly.
 [[nodiscard]] AtpgResult generate_tests(const Netlist& netlist, const DelayModel& model,
-                                        AtpgOptions options = {});
+                                        const TimingGraph& timing, AtpgOptions options = {});
 
 }  // namespace halotis

@@ -50,8 +50,8 @@ TraceReplayer::TraceReplayer(const Trace& trace) : trace_(&trace) {
   }
 }
 
-ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
-                                    const RunSupervisor* supervisor) {
+bool TraceReplayer::replay(std::span<const TimingArc> arcs,
+                           const RunSupervisor* supervisor) {
   require(arcs.size() == trace_->num_arcs,
           "TraceReplayer::replay(): arc table size differs from the recording graph");
   have_times_ = false;
@@ -127,10 +127,10 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         // Pair rule must still have let this event through: it must come
         // strictly after the pending tail of the same input's list.
         if (op.c != kNone && !(ej > ev_[op.c])) {
-          return {false, i};
+          return false;
         }
         if (!touch(last_list_[op.d])) {
-          return {false, i};
+          return false;
         }
         if (ej < now) ej = now;  // the kernel's causality clamp
         ev_[op.a] = ej;
@@ -144,13 +144,13 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         const Ramp& cause = tr_[op.b];
         const TimeNs ej = cause.t_start + cause.tau * op.x;
         if (!(ej <= ev_[op.a])) {
-          return {false, i};
+          return false;
         }
         if (!touch(last_list_[op.c])) {
-          return {false, i};
+          return false;
         }
         if ((op.flags & kOpWasHead) != 0 && !head_still_pending(op.a)) {
-          return {false, i};
+          return false;
         }
         break;
       }
@@ -158,7 +158,7 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
       case OpKind::kFire: {
         const TimeNs t = ev_[op.a];
         if (t > horizon) {
-          return {false, i};
+          return false;
         }
         ++n_fires;
         s_cur = n_fires;
@@ -167,7 +167,7 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         // The pop must keep its recorded order against everything touching
         // the same pending list and the same gate's input/output state.
         if (!touch(last_list_[op.b]) || !touch(last_gate_[op.c])) {
-          return {false, i};
+          return false;
         }
         break;
       }
@@ -185,14 +185,14 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         // Re-take schedule_output()'s collapse decisions; each must agree
         // with the recorded branch or the schedule is invalid.
         if (delay.filtered != ((op.flags & kOpFiltered) != 0)) {
-          return {false, i};
+          return false;
         }
         bool collapse = delay.filtered;
         if (has_prev) {
           if (!collapse) {
             const bool ord = t_out50 <= prev50 + mpw;
             if (ord != ((op.flags & kOpOrdCollapse) != 0)) {
-              return {false, i};
+              return false;
             }
             collapse = collapse || ord;
           }
@@ -200,7 +200,7 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
             const bool inertial = delay.inertial_window > 0.0 &&
                                   (t_out50 - prev50) < delay.inertial_window;
             if (inertial != ((op.flags & kOpInertial) != 0)) {
-              return {false, i};
+              return false;
             }
             collapse = collapse || inertial;
           }
@@ -220,10 +220,10 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         // Annihilation cancelled a spawned event; a cancelled head must
         // still be pending (a non-head is covered by list serialization).
         if (!touch(last_list_[op.b])) {
-          return {false, i};
+          return false;
         }
         if ((op.flags & kOpWasHead) != 0 && !head_still_pending(op.a)) {
-          return {false, i};
+          return false;
         }
         break;
 
@@ -233,17 +233,17 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
         const TimeNs when = std::max(ev_[op.b], now);
         ev_[op.a] = when;
         if (!touch(last_list_[input])) {
-          return {false, i};
+          return false;
         }
         // The sorted re-insert must land between the same neighbours.  The
         // new event's id is globally newest, so list_insert_sorted places
         // it after the last node with time <= when: the recorded neighbours
         // are kept iff prev <= when < next.
         if (op.c != kNone && !(ev_[op.c] <= when)) {
-          return {false, i};
+          return false;
         }
         if (op.d != kNone && !(ev_[op.d] > when)) {
-          return {false, i};
+          return false;
         }
         break;
       }
@@ -251,14 +251,14 @@ ReplayOutcome TraceReplayer::replay(std::span<const TimingArc> arcs,
       case OpKind::kResidual:
         // Still pending at the stop point: must remain beyond the horizon.
         if (!(ev_[op.a] > horizon)) {
-          return {false, i};
+          return false;
         }
         break;
     }
   }
 
   have_times_ = true;
-  return {true, ops.size()};
+  return true;
 }
 
 std::uint64_t TraceReplayer::history_hash() const {

@@ -28,7 +28,7 @@
 // not certifiable fails the replay (sound, conservative).
 //
 // Any violated check means the perturbed run may have diverged from the
-// recorded schedule: replay() reports the op and the caller falls back to
+// recorded schedule: replay() returns false and the caller falls back to
 // full event simulation.  State buffers are reused across replay() calls,
 // so a session evaluates thousands of samples with zero allocation.
 #pragma once
@@ -44,23 +44,17 @@
 
 namespace halotis::replay {
 
-struct ReplayOutcome {
-  bool ok = false;
-  /// First violated op (index into Trace::ops); ops.size() when ok.
-  std::size_t failed_op = 0;
-};
-
 class TraceReplayer {
  public:
   /// `trace` must be sealed (replayable) and outlive the replayer.
   explicit TraceReplayer(const Trace& trace);
 
   /// Walks the trace under `arcs` (same layout as the recording graph's
-  /// arcs() -- trace.num_arcs entries).  Returns ok=false on the first
+  /// arcs() -- trace.num_arcs entries).  Returns false on the first
   /// violated check; the recomputed times are then meaningless.
   /// `supervisor` (optional) is polled coarsely every ~64k ops.
-  ReplayOutcome replay(std::span<const TimingArc> arcs,
-                       const RunSupervisor* supervisor = nullptr);
+  [[nodiscard]] bool replay(std::span<const TimingArc> arcs,
+                            const RunSupervisor* supervisor = nullptr);
 
   // ---- results (valid only after replay() returned ok) ----------------------
 

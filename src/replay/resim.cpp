@@ -44,7 +44,7 @@ ResimSample ResimSession::evaluate(const TimingGraph& graph,
                                    std::span<const SignalId> observed, bool want_hash,
                                    const RunSupervisor* supervisor) {
   ++evaluated_;
-  if (replayer_ != nullptr && replayer_->replay(graph.arcs(), supervisor).ok) {
+  if (replayer_ != nullptr && replayer_->replay(graph.arcs(), supervisor)) {
     ResimSample sample;
     if (want_hash) sample.history_hash = replayer_->history_hash();
     sample.critical_t50 = replayer_->latest_t50(observed);

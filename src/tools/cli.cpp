@@ -141,8 +141,8 @@ constexpr FlagSpec kFlags[] = {
      std::numeric_limits<std::uint32_t>::max()},
     {kSim | kVariation, "replay", kBool, "", "re-time a recorded trace, not re-simulate"},
     {kSta, "per-arc", kBool, "", "dump the elaborated timing-arc table"},
-    {kFault, "period", kNumber, "NS", "output sample period (default 5)", kAboveLo},
-    {kFault, "no-early-exit", kBool, "", "simulate every faulty machine to the end"},
+    {kFault, "period", kNumber, "NS", "output sample period (default 5)", kAboveLo,
+     kSampleEpsilon},
     {kFault, "atpg", kBool, "", "generate test vectors instead of grading --stim"},
     {kFault, "candidates", kUnsigned, "N", "ATPG candidate words (default 200)", 0, 1, kIntMax},
     {kFault | kVariation, "seed", kUnsigned, "N", "random seed (decimal or 0x hex)"},
@@ -235,6 +235,12 @@ struct Options {
   throw UsageError("--" + std::string(spec.name) + " " + what + ", got '" + text + "'");
 }
 
+/// A bound in its shortest round-trip form: "0.1", not "0.10000000000000001".
+std::string format_bound(double bound) {
+  char buffer[32];
+  return {buffer, std::to_chars(std::begin(buffer), std::end(buffer), bound).ptr};
+}
+
 /// Validates one flag value against its table row; only a kBool has none.
 Options::Value parse_value(const FlagSpec& spec, std::string text) {
   Options::Value value{&spec, std::move(text)};
@@ -266,10 +272,10 @@ Options::Value parse_value(const FlagSpec& spec, std::string text) {
   }
   if ((spec.traits & kAboveLo) != 0 ? !(value.number > spec.lo) : !(value.number >= spec.lo)) {
     bad_value(spec, value.text, ((spec.traits & kAboveLo) != 0 ? "must be > " : "must be >= ") +
-                                    format_double(spec.lo, 17));
+                                    format_bound(spec.lo));
   }
   if (!(value.number <= spec.hi)) {
-    bad_value(spec, value.text, "must be <= " + format_double(spec.hi, 17));
+    bad_value(spec, value.text, "must be <= " + format_bound(spec.hi));
   }
   return value;
 }
@@ -834,7 +840,7 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
     atpg.seed = options.count("seed", 1);
     atpg.threads = threads;
     atpg.supervisor = &supervisor;
-    const AtpgResult result = generate_tests(netlist, *model, atpg);
+    const AtpgResult result = generate_tests(netlist, *model, elab->graph, atpg);
     out << "ATPG: " << result.words.size() << " vectors, coverage " << result.detected
         << " / " << result.total_faults << " ("
         << format_double(100.0 * result.coverage(), 4) << "%)\n";
@@ -856,14 +862,12 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
 
   FaultSimOptions sampling;
   sampling.sample_period = options.number("period", 5.0);
-  const bool early_exit = !options.has("no-early-exit");
   const auto start = std::chrono::steady_clock::now();
   // The engine runs on the shared elaboration's graph (the daemon's cached
-  // one on a warm hit) instead of re-elaborating; verdicts are
-  // bit-identical either way.
+  // one on a warm hit), as ATPG above does.
   CampaignEngine engine(netlist, *model, elab->graph, threads);
   engine.supervise(&supervisor);
-  const CampaignResult result = engine.run(stimulus, {}, sampling, early_exit);
+  const CampaignResult result = engine.run(stimulus, {}, sampling, true);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   out << "stuck-at coverage: " << result.detected << " / " << result.total << " ("

@@ -1,23 +1,24 @@
 // Tests for the parallel fault-campaign engine and the Simulator reuse
-// contract it is built on (PR 3 acceptance):
+// contract it is built on:
 //
 //   * WorkerPool shards an index space exactly once per index, any thread
 //     count, and propagates worker exceptions;
 //   * Simulator::reset() + re-apply_stimulus is bit-identical to a freshly
 //     constructed Simulator (stats and histories), with and without an
 //     injected fault in between;
-//   * inject_stuck_at() reproduces the apply_fault() netlist-rewiring
-//     verdicts exactly;
+//   * inject_stuck_at() reproduces the verdicts of the netlist-rewiring
+//     oracle below, fault for fault, on every input test_fault grades;
 //   * campaign results (detected set, coverage, verdict vector, event
-//     totals) are identical for 1 vs N threads and with early exit on/off,
-//     and match the legacy serial engine fault for fault.
+//     totals) are identical for 1 vs N threads and with early exit on/off.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "src/base/check.hpp"
 #include "src/base/rng.hpp"
 #include "src/base/worker_pool.hpp"
 #include "src/circuits/generators.hpp"
@@ -27,6 +28,144 @@
 
 namespace halotis {
 namespace {
+
+// ---- The oracle: the textbook serial fault simulator -----------------------
+//
+// Per fault it builds a rewired copy of the netlist and a fresh Simulator and
+// replays the whole stimulus.  It shares nothing with CampaignEngine but the
+// fault list and the sample instants, so it grades the engine independently.
+
+/// The faulty machine: a copy of `netlist` where every receiver of the
+/// faulted line is rewired to a constant net, and the faulted line itself
+/// (if a primary output) is replaced by the constant.  The constant net is
+/// an extra primary input named "__fault" that the oracle ties to the stuck
+/// value.
+struct FaultyMachine {
+  Netlist netlist;
+  SignalId fault_net;
+
+  explicit FaultyMachine(const Library& lib) : netlist(lib) {}
+};
+
+FaultyMachine apply_fault(const Netlist& netlist, const Fault& fault) {
+  require(fault.signal.valid() && fault.signal.value() < netlist.num_signals(),
+          "apply_fault(): invalid fault site");
+  FaultyMachine machine(netlist.library());
+  Netlist& out = machine.netlist;
+
+  // Recreate signals in id order so SignalIds line up 1:1 with the good
+  // machine; append the constant fault net last.
+  for (std::size_t s = 0; s < netlist.num_signals(); ++s) {
+    const SignalId sid{static_cast<SignalId::underlying_type>(s)};
+    const Signal& sig = netlist.signal(sid);
+    const SignalId copy =
+        sig.is_primary_input ? out.add_primary_input(sig.name) : out.add_signal(sig.name);
+    ensure(copy.value() == sid.value(), "apply_fault(): signal id mismatch");
+    if (sig.wire_cap > 0.0) out.set_wire_cap(copy, sig.wire_cap);
+  }
+  machine.fault_net = out.add_primary_input("__fault");
+
+  const auto redirect = [&](SignalId in) {
+    return in == fault.signal ? machine.fault_net : in;
+  };
+  for (std::size_t g = 0; g < netlist.num_gates(); ++g) {
+    const GateId gid{static_cast<GateId::underlying_type>(g)};
+    const Gate& gate = netlist.gate(gid);
+    std::vector<SignalId> ins;
+    ins.reserve(gate.inputs.size());
+    for (const SignalId in : gate.inputs) ins.push_back(redirect(in));
+    (void)out.add_gate(gate.name, gate.cell, ins, gate.output);
+  }
+  for (const SignalId po : netlist.primary_outputs()) {
+    // A faulted PO is observed as the constant itself.
+    out.mark_primary_output(po == fault.signal ? machine.fault_net : po);
+  }
+  return machine;
+}
+
+struct FaultSimResult {
+  std::size_t total = 0;
+  std::size_t detected = 0;
+  std::vector<Fault> undetected;
+};
+
+/// Serial fault simulation of every fault in `faults` (or all, if empty)
+/// under `model`.  The same `stimulus` drives good and faulty machines;
+/// detection compares primary-output values at the default sample instants.
+FaultSimResult run_fault_simulation(const Netlist& netlist, const Stimulus& stimulus,
+                                    const DelayModel& model, std::vector<Fault> faults = {}) {
+  if (faults.empty()) faults = enumerate_faults(netlist);
+  const std::vector<TimeNs> times = fault_sample_times(stimulus, FaultSimOptions{});
+
+  // Good machine reference samples.
+  Simulator good(netlist, model);
+  good.apply_stimulus(stimulus);
+  (void)good.run();
+  std::vector<std::vector<bool>> good_samples;
+  for (const SignalId po : netlist.primary_outputs()) {
+    std::vector<bool> row;
+    for (const TimeNs t : times) row.push_back(good.value_at(po, t));
+    good_samples.push_back(std::move(row));
+  }
+
+  FaultSimResult result;
+  result.total = faults.size();
+  for (const Fault& fault : faults) {
+    FaultyMachine machine = apply_fault(netlist, fault);
+
+    // Same stimulus, plus the fault constant.
+    Stimulus faulty_stim = stimulus;
+    faulty_stim.set_initial(machine.fault_net, fault.stuck_value);
+
+    Simulator sim(machine.netlist, model);
+    sim.apply_stimulus(faulty_stim);
+    (void)sim.run();
+
+    bool detected = false;
+    const auto pos = machine.netlist.primary_outputs();
+    for (std::size_t o = 0; o < pos.size() && !detected; ++o) {
+      for (std::size_t k = 0; k < times.size(); ++k) {
+        if (sim.value_at(pos[o], times[k]) != good_samples[o][k]) {
+          detected = true;
+          break;
+        }
+      }
+    }
+    if (detected) {
+      ++result.detected;
+    } else {
+      result.undetected.push_back(fault);
+    }
+  }
+  return result;
+}
+
+TEST(OracleTest, ApplyFaultRewiresReceivers) {
+  const Library lib = Library::default_u6();
+  C17Circuit c17 = make_c17(lib);
+  const SignalId n11 = *c17.netlist.find_signal("N11");
+  const FaultyMachine machine = apply_fault(c17.netlist, Fault{n11, true});
+  machine.netlist.check();
+  // Same gate count; the faulted line keeps its driver but loses receivers.
+  EXPECT_EQ(machine.netlist.num_gates(), c17.netlist.num_gates());
+  EXPECT_TRUE(machine.netlist.signal(machine.fault_net).is_primary_input);
+  EXPECT_EQ(machine.netlist.signal(n11).fanout.size(), 0u);
+  EXPECT_EQ(machine.netlist.signal(machine.fault_net).fanout.size(),
+            c17.netlist.signal(n11).fanout.size());
+}
+
+TEST(OracleTest, FaultedPrimaryOutputObservedAsConstant) {
+  const Library lib = Library::default_u6();
+  ChainCircuit chain = make_chain(lib, 1);
+  const FaultyMachine machine =
+      apply_fault(chain.netlist, Fault{chain.nodes.back(), true});
+  // The PO list of the faulty machine now exposes the constant net.
+  bool found = false;
+  for (const SignalId po : machine.netlist.primary_outputs()) {
+    if (po == machine.fault_net) found = true;
+  }
+  EXPECT_TRUE(found);
+}
 
 // ---- WorkerPool ------------------------------------------------------------
 
@@ -90,6 +229,28 @@ class CampaignTest : public ::testing::Test {
  protected:
   Library lib_ = Library::default_u6();
   DdmDelayModel ddm_;
+
+  /// A campaign over a fresh elaboration of `netlist`.
+  CampaignResult campaign(const Netlist& netlist, const Stimulus& stim, int threads,
+                          std::vector<Fault> faults = {}, bool early_exit = true) const {
+    const TimingGraph timing = TimingGraph::build(netlist, ddm_.timing_policy());
+    CampaignEngine engine(netlist, ddm_, timing, threads);
+    return engine.run(stim, std::move(faults), {}, early_exit);
+  }
+
+  /// The campaign grades `faults` (all, if empty) exactly as the oracle
+  /// does: same total, same detected count, the same undetected faults in
+  /// the same order, and no error verdicts -- hence the same verdict for
+  /// every fault.
+  void expect_matches_oracle(const Netlist& netlist, const Stimulus& stim,
+                             const std::vector<Fault>& faults = {}) const {
+    const FaultSimResult oracle = run_fault_simulation(netlist, stim, ddm_, faults);
+    const CampaignResult result = campaign(netlist, stim, 2, faults);
+    EXPECT_EQ(result.total, oracle.total);
+    EXPECT_EQ(result.detected, oracle.detected);
+    EXPECT_EQ(result.errors, 0u);
+    EXPECT_EQ(result.undetected, oracle.undetected);
+  }
 
   static Stimulus multiplier_words(const MultiplierCircuit& mult,
                                    const std::vector<std::uint64_t>& words) {
@@ -174,37 +335,91 @@ TEST_F(CampaignTest, ResetClearsInjectedFault) {
 }
 
 TEST_F(CampaignTest, InjectedFaultMatchesNetlistRewritingVerdicts) {
-  // inject_stuck_at() must reproduce the legacy apply_fault() observable
-  // behaviour for every single fault: same sampled primary outputs, hence
-  // the same verdict, on a circuit with reconvergence and internal fanout.
+  // inject_stuck_at() must reproduce the oracle's netlist rewiring for
+  // every single fault: same sampled primary outputs, hence the same
+  // verdict, on a circuit with reconvergence and internal fanout.
   C17Circuit c17 = make_c17(lib_);
   std::vector<SignalId> inputs(c17.inputs.begin(), c17.inputs.end());
   Stimulus stim(0.4);
   const std::vector<std::uint64_t> words{0x00, 0x1F, 0x0A, 0x15, 0x07};
   stim.apply_sequence(inputs, words, 5.0, 5.0);
-
-  const FaultSimResult legacy = run_fault_simulation(c17.netlist, stim, ddm_);
-  const CampaignResult campaign = run_fault_campaign(c17.netlist, stim, ddm_);
-  EXPECT_EQ(campaign.total, legacy.total);
-  EXPECT_EQ(campaign.detected, legacy.detected);
-  ASSERT_EQ(campaign.undetected.size(), legacy.undetected.size());
-  for (std::size_t i = 0; i < legacy.undetected.size(); ++i) {
-    EXPECT_EQ(campaign.undetected[i], legacy.undetected[i]) << "fault " << i;
-  }
+  expect_matches_oracle(c17.netlist, stim);
 }
 
-TEST_F(CampaignTest, CampaignMatchesLegacyOnMultiplier) {
+TEST_F(CampaignTest, CampaignMatchesOracleOnMultiplier) {
   MultiplierCircuit mult = make_multiplier(lib_, 3);
-  const Stimulus stim = multiplier_words(mult, random_word_stream(6, 8, 42));
+  expect_matches_oracle(mult.netlist, multiplier_words(mult, random_word_stream(6, 8, 42)));
+}
 
-  const FaultSimResult legacy = run_fault_simulation(mult.netlist, stim, ddm_);
-  CampaignOptions options;
-  options.threads = 2;
-  const CampaignResult campaign = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
-  EXPECT_EQ(campaign.detected, legacy.detected);
-  EXPECT_EQ(campaign.undetected.size(), legacy.undetected.size());
-  for (std::size_t i = 0; i < legacy.undetected.size(); ++i) {
-    EXPECT_EQ(campaign.undetected[i], legacy.undetected[i]) << "fault " << i;
+TEST_F(CampaignTest, CampaignMatchesOracleOnEveryFaultTestInput) {
+  // The inputs test_fault grades with the campaign, each graded here by the
+  // oracle as well.
+  {
+    SCOPED_TRACE("inverter, both edges");
+    ChainCircuit chain = make_chain(lib_, 1);
+    Stimulus stim(0.4);
+    stim.add_edge(chain.nodes[0], 5.0, true);
+    stim.add_edge(chain.nodes[0], 10.0, false);
+    expect_matches_oracle(chain.netlist, stim);
+  }
+  C17Circuit c17 = make_c17(lib_);
+  std::vector<SignalId> inputs(c17.inputs.begin(), c17.inputs.end());
+  {
+    SCOPED_TRACE("c17, single toggle");
+    Stimulus stim(0.4);
+    stim.add_edge(c17.inputs[0], 5.0, true);
+    expect_matches_oracle(c17.netlist, stim);
+  }
+  {
+    SCOPED_TRACE("c17, weak");
+    Stimulus weak(0.4);
+    weak.apply_word(inputs, 0x1F, 5.0);
+    expect_matches_oracle(c17.netlist, weak);
+  }
+  {
+    SCOPED_TRACE("c17, strong");
+    Stimulus strong(0.4);
+    const std::vector<std::uint64_t> words{0x00, 0x1F, 0x0A, 0x15, 0x07, 0x18};
+    strong.apply_sequence(inputs, words, 5.0, 5.0);
+    expect_matches_oracle(c17.netlist, strong);
+  }
+  const std::vector<std::uint64_t> words{0x00, 0x1F, 0x0A, 0x15};
+  for (const TimeNs pitch : {3.0, 5.0}) {
+    SCOPED_TRACE("c17, off-grid and on-grid pitch " + std::to_string(pitch));
+    Stimulus stim(0.4);
+    stim.apply_sequence(inputs, words, pitch, pitch);
+    expect_matches_oracle(c17.netlist, stim);
+  }
+  {
+    SCOPED_TRACE("c17, output-fault subset");
+    Stimulus stim(0.4);
+    stim.apply_sequence(inputs, words, 5.0, 5.0);
+    expect_matches_oracle(c17.netlist, stim,
+                          {Fault{c17.outputs[0], false}, Fault{c17.outputs[0], true}});
+  }
+  {
+    SCOPED_TRACE("and2, detection at the last vector only");
+    Netlist nl(lib_);
+    const SignalId a = nl.add_primary_input("a");
+    const SignalId b = nl.add_primary_input("b");
+    const SignalId y = nl.add_signal("y");
+    nl.mark_primary_output(y);
+    const std::array<SignalId, 2> ins{a, b};
+    (void)nl.add_gate("g", CellKind::kAnd2, ins, y);
+    const std::vector<std::uint64_t> and_words{0b00, 0b01, 0b11};
+    expect_matches_oracle(nl, make_vector_stimulus(nl, and_words), {Fault{a, false}});
+    expect_matches_oracle(nl, make_vector_stimulus(nl, and_words));
+  }
+  {
+    SCOPED_TRACE("c17, ATPG replay");
+    AtpgOptions options;
+    options.max_candidates = 120;
+    options.seed = 3;
+    const TimingGraph timing = TimingGraph::build(c17.netlist, ddm_.timing_policy());
+    const AtpgResult atpg = generate_tests(c17.netlist, ddm_, timing, options);
+    const Stimulus replay = make_vector_stimulus(c17.netlist, atpg.words);
+    expect_matches_oracle(c17.netlist, replay);
+    EXPECT_EQ(run_fault_simulation(c17.netlist, replay, ddm_).detected, atpg.detected);
   }
 }
 
@@ -212,15 +427,11 @@ TEST_F(CampaignTest, ThreadCountInvariant) {
   MultiplierCircuit mult = make_multiplier(lib_, 3);
   const Stimulus stim = multiplier_words(mult, random_word_stream(6, 10, 5));
 
-  CampaignOptions serial;
-  serial.threads = 1;
-  const CampaignResult one = run_fault_campaign(mult.netlist, stim, ddm_, {}, serial);
+  const CampaignResult one = campaign(mult.netlist, stim, 1);
   EXPECT_EQ(one.threads_used, 1);
 
   for (const int threads : {2, 4, 7}) {
-    CampaignOptions options;
-    options.threads = threads;
-    const CampaignResult many = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
+    const CampaignResult many = campaign(mult.netlist, stim, threads);
     EXPECT_EQ(many.threads_used, threads);
     EXPECT_EQ(many.total, one.total);
     EXPECT_EQ(many.detected, one.detected);
@@ -238,14 +449,8 @@ TEST_F(CampaignTest, EarlyExitDoesNotChangeVerdicts) {
   MultiplierCircuit mult = make_multiplier(lib_, 3);
   const Stimulus stim = multiplier_words(mult, random_word_stream(6, 10, 19));
 
-  CampaignOptions eager;
-  eager.threads = 1;
-  eager.early_exit = true;
-  CampaignOptions full;
-  full.threads = 1;
-  full.early_exit = false;
-  const CampaignResult a = run_fault_campaign(mult.netlist, stim, ddm_, {}, eager);
-  const CampaignResult b = run_fault_campaign(mult.netlist, stim, ddm_, {}, full);
+  const CampaignResult a = campaign(mult.netlist, stim, 1, {}, /*early_exit=*/true);
+  const CampaignResult b = campaign(mult.netlist, stim, 1, {}, /*early_exit=*/false);
   EXPECT_EQ(a.verdicts, b.verdicts);
   EXPECT_EQ(a.detected, b.detected);
   // Early exit must strictly reduce simulated work on this workload (most
@@ -259,9 +464,9 @@ TEST_F(CampaignTest, FaultedPrimaryOutputObservedAsConstant) {
   stim.add_edge(chain.nodes[0], 5.0, true);
   stim.add_edge(chain.nodes[0], 10.0, false);
 
-  const CampaignResult result = run_fault_campaign(chain.netlist, stim, ddm_);
-  // in/SA0, in/SA1, out/SA0, out/SA1 all observable (matches the legacy
-  // engine's FaultTest.ExhaustiveVectorsReachFullCoverageOnInverter).
+  const CampaignResult result = campaign(chain.netlist, stim, 0);
+  // in/SA0, in/SA1, out/SA0, out/SA1 all observable (the oracle agrees:
+  // CampaignMatchesOracleOnEveryFaultTestInput).
   EXPECT_EQ(result.total, 4u);
   EXPECT_EQ(result.detected, 4u);
   EXPECT_DOUBLE_EQ(result.coverage(), 1.0);
@@ -277,7 +482,7 @@ TEST_F(CampaignTest, SubsetAndVerdictIndexing) {
   const std::vector<Fault> subset{Fault{c17.outputs[0], false},
                                   Fault{c17.outputs[0], true},
                                   Fault{c17.inputs[0], false}};
-  const CampaignResult result = run_fault_campaign(c17.netlist, stim, ddm_, subset);
+  const CampaignResult result = campaign(c17.netlist, stim, 0, subset);
   EXPECT_EQ(result.total, 3u);
   ASSERT_EQ(result.verdicts.size(), 3u);
   // Output-line faults are always visible.
@@ -291,47 +496,28 @@ TEST_F(CampaignTest, EngineReuseAcrossStimuliMatchesOneShotRuns) {
   // candidate stream; every run() must still equal a fresh one-shot
   // campaign on the same stimulus.
   MultiplierCircuit mult = make_multiplier(lib_, 3);
-  CampaignEngine engine(mult.netlist, ddm_, 2);
+  const TimingGraph timing = TimingGraph::build(mult.netlist, ddm_.timing_policy());
+  CampaignEngine engine(mult.netlist, ddm_, timing, 2);
   for (const std::uint64_t seed : {3u, 9u, 27u}) {
     const Stimulus stim = multiplier_words(mult, random_word_stream(6, 6, seed));
     const CampaignResult reused = engine.run(stim);
-    CampaignOptions options;
-    options.threads = 2;
-    const CampaignResult fresh = run_fault_campaign(mult.netlist, stim, ddm_, {}, options);
+    const CampaignResult fresh = campaign(mult.netlist, stim, 2);
     EXPECT_EQ(reused.detected, fresh.detected) << "seed " << seed;
     EXPECT_EQ(reused.verdicts, fresh.verdicts) << "seed " << seed;
     EXPECT_EQ(reused.events_processed, fresh.events_processed) << "seed " << seed;
   }
 }
 
-TEST_F(CampaignTest, ExternalGraphMatchesInternalElaboration) {
-  // The daemon hands CampaignEngine a cache-shared TimingGraph instead of
-  // letting it elaborate internally; the two paths must be bit-identical.
-  MultiplierCircuit mult = make_multiplier(lib_, 3);
-  const Stimulus stim = multiplier_words(mult, random_word_stream(6, 8, 42));
-
-  CampaignEngine internal(mult.netlist, ddm_, 2);
-  const CampaignResult from_internal = internal.run(stim);
-
-  const TimingGraph shared = TimingGraph::build(mult.netlist, ddm_.timing_policy());
-  CampaignEngine external(mult.netlist, ddm_, shared, 2);
-  const CampaignResult from_external = external.run(stim);
-
-  EXPECT_EQ(from_external.verdicts, from_internal.verdicts);
-  EXPECT_EQ(from_external.detected, from_internal.detected);
-  EXPECT_EQ(from_external.undetected, from_internal.undetected);
-  EXPECT_EQ(from_external.events_processed, from_internal.events_processed);
-}
-
 TEST_F(CampaignTest, AtpgThreadCountInvariant) {
   C17Circuit c17 = make_c17(lib_);
+  const TimingGraph timing = TimingGraph::build(c17.netlist, ddm_.timing_policy());
   AtpgOptions options;
   options.max_candidates = 60;
   options.seed = 11;
   options.threads = 1;
-  const AtpgResult one = generate_tests(c17.netlist, ddm_, options);
+  const AtpgResult one = generate_tests(c17.netlist, ddm_, timing, options);
   options.threads = 4;
-  const AtpgResult four = generate_tests(c17.netlist, ddm_, options);
+  const AtpgResult four = generate_tests(c17.netlist, ddm_, timing, options);
   EXPECT_EQ(one.words, four.words);
   EXPECT_EQ(one.detected, four.detected);
   EXPECT_EQ(one.undetected.size(), four.undetected.size());

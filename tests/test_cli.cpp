@@ -156,10 +156,14 @@ TEST_F(CliTest, FaultCampaignRunsAndSerialEngineIsGone) {
       campaign_out.substr(0, campaign_out.find(") under") + 1);
   EXPECT_NE(coverage.find("stuck-at coverage"), std::string::npos);
 
-  // The campaign is the one fault engine; test_campaign pins its verdicts
-  // fault for fault against run_fault_simulation.
+  // The campaign is the one fault engine, always with early exit;
+  // test_campaign pins its verdicts fault for fault against the
+  // netlist-rewiring oracle.
   EXPECT_EQ(run({"fault", "--netlist", netlist, "--stim", stim, "--serial"}), 2);
   EXPECT_NE(err_.str().find("unknown flag --serial for fault"), std::string::npos)
+      << err_.str();
+  EXPECT_EQ(run({"fault", "--netlist", netlist, "--stim", stim, "--no-early-exit"}), 2);
+  EXPECT_NE(err_.str().find("unknown flag --no-early-exit for fault"), std::string::npos)
       << err_.str();
 }
 
@@ -170,6 +174,27 @@ TEST_F(CliTest, FaultAtpgGeneratesVectors) {
   EXPECT_NE(out_.str().find("ATPG:"), std::string::npos);
   EXPECT_NE(out_.str().find("vectors (hex"), std::string::npos);
   EXPECT_NE(out_.str().find("100%"), std::string::npos);  // tiny circuit: full coverage
+}
+
+TEST_F(CliTest, FaultAtpgRejectsUnencodablePrimaryInputCounts) {
+  // One test word bit per primary input: a netlist without inputs has no
+  // word to generate, one with more than 64 has no word that fits.
+  std::string wide;
+  for (int i = 0; i < 65; ++i) wide += "INPUT(i" + std::to_string(i) + ")\n";
+  wide += "OUTPUT(y)\ny = NOT(i0)\n";
+  struct Case {
+    const char* name;
+    std::string bench;
+    const char* count;
+  };
+  for (const Case& c : {Case{"empty.bench", "", "has 0"}, Case{"wide.bench", wide, "has 65"}}) {
+    EXPECT_EQ(run({"fault", "--netlist", write(c.name, c.bench), "--atpg"}), 1) << c.name;
+    EXPECT_NE(err_.str().find("ATPG needs 1 to 64 primary inputs, the netlist " +
+                              std::string(c.count)),
+              std::string::npos)
+        << err_.str();
+    EXPECT_EQ(out_.str(), "") << c.name;
+  }
 }
 
 TEST_F(CliTest, ConvertToSdf) {
@@ -327,7 +352,13 @@ TEST_F(CliTest, MalformedFlagsExitTwoWithUsage) {
   expect_usage({"lint", ""}, "--netlist needs a value");
   expect_usage({"convert", "--netlist", netlist}, "missing required flag --to");
   expect_usage({"sta", "--netlist", netlist, "--slew", "0"}, "--slew must be > 0, got '0'");
-  expect_usage({"fault", "--netlist", netlist, "--period", "-1"}, "--period must be > 0");
+  expect_usage({"fault", "--netlist", netlist, "--period", "-1"}, "--period must be > 0.1");
+  // Samples sit 0.1 ns before each settled instant, so a period must exceed
+  // that; the bound prints in shortest round-trip form.
+  expect_usage({"fault", "--netlist", netlist, "--stim", stim, "--period", "0.1"},
+               "usage error: --period must be > 0.1, got '0.1'\n");
+  expect_usage({"fault", "--netlist", netlist, "--atpg", "--period", "0.05"},
+               "usage error: --period must be > 0.1, got '0.05'\n");
   expect_usage({"fault", "--netlist", netlist, "--atpg", "--candidates", "0"},
                "--candidates must be >= 1");
   expect_usage({"variation", "--netlist", netlist, "--budget-mem-mb", "inf"},

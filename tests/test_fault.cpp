@@ -1,9 +1,12 @@
-// Tests for the stuck-at fault simulator.
+// Tests for the stuck-at fault model, output sampling and ATPG, graded by
+// the campaign engine (test_campaign checks every one of these inputs
+// against the netlist-rewiring oracle, fault for fault).
 #include <gtest/gtest.h>
 
 #include <array>
 
 #include "src/circuits/generators.hpp"
+#include "src/fault/campaign.hpp"
 #include "src/fault/fault.hpp"
 
 namespace halotis {
@@ -13,6 +16,14 @@ class FaultTest : public ::testing::Test {
  protected:
   Library lib_ = Library::default_u6();
   DdmDelayModel ddm_;
+
+  /// Grades `faults` (all, if empty) on a campaign over a fresh elaboration.
+  CampaignResult campaign(const Netlist& netlist, const Stimulus& stim,
+                          std::vector<Fault> faults = {}) const {
+    const TimingGraph timing = TimingGraph::build(netlist, ddm_.timing_policy());
+    CampaignEngine engine(netlist, ddm_, timing, /*threads=*/1);
+    return engine.run(stim, std::move(faults));
+  }
 };
 
 TEST_F(FaultTest, EnumerationCoversEverySignalTwice) {
@@ -21,38 +32,13 @@ TEST_F(FaultTest, EnumerationCoversEverySignalTwice) {
   EXPECT_EQ(faults.size(), 2 * c17.netlist.num_signals());
 }
 
-TEST_F(FaultTest, ApplyFaultRewiresReceivers) {
-  C17Circuit c17 = make_c17(lib_);
-  const SignalId n11 = *c17.netlist.find_signal("N11");
-  const FaultyMachine machine = apply_fault(c17.netlist, Fault{n11, true});
-  machine.netlist.check();
-  // Same gate count; the faulted line keeps its driver but loses receivers.
-  EXPECT_EQ(machine.netlist.num_gates(), c17.netlist.num_gates());
-  EXPECT_TRUE(machine.netlist.signal(machine.fault_net).is_primary_input);
-  EXPECT_EQ(machine.netlist.signal(n11).fanout.size(), 0u);
-  EXPECT_EQ(machine.netlist.signal(machine.fault_net).fanout.size(),
-            c17.netlist.signal(n11).fanout.size());
-}
-
-TEST_F(FaultTest, FaultedPrimaryOutputObservedAsConstant) {
-  ChainCircuit chain = make_chain(lib_, 1);
-  const FaultyMachine machine =
-      apply_fault(chain.netlist, Fault{chain.nodes.back(), true});
-  // The PO list of the faulty machine now exposes the constant net.
-  bool found = false;
-  for (const SignalId po : machine.netlist.primary_outputs()) {
-    if (po == machine.fault_net) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST_F(FaultTest, ExhaustiveVectorsReachFullCoverageOnInverter) {
   ChainCircuit chain = make_chain(lib_, 1);
   Stimulus stim(0.4);
   stim.add_edge(chain.nodes[0], 5.0, true);
   stim.add_edge(chain.nodes[0], 10.0, false);
 
-  const FaultSimResult result = run_fault_simulation(chain.netlist, stim, ddm_);
+  const CampaignResult result = campaign(chain.netlist, stim);
   // in/SA0, in/SA1, out/SA0, out/SA1 are all observable with both vectors.
   EXPECT_EQ(result.total, 4u);
   EXPECT_EQ(result.detected, 4u);
@@ -65,7 +51,7 @@ TEST_F(FaultTest, UndetectedFaultsReported) {
   Stimulus stim(0.4);
   stim.add_edge(c17.inputs[0], 5.0, true);  // only N1 ever toggles
 
-  const FaultSimResult result = run_fault_simulation(c17.netlist, stim, ddm_);
+  const CampaignResult result = campaign(c17.netlist, stim);
   EXPECT_GT(result.detected, 0u);
   EXPECT_FALSE(result.undetected.empty());
   EXPECT_EQ(result.detected + result.undetected.size(), result.total);
@@ -83,8 +69,8 @@ TEST_F(FaultTest, RicherSequenceImprovesCoverage) {
   const std::vector<std::uint64_t> words{0x00, 0x1F, 0x0A, 0x15, 0x07, 0x18};
   strong.apply_sequence(inputs, words, 5.0, 5.0);
 
-  const FaultSimResult weak_result = run_fault_simulation(c17.netlist, weak, ddm_);
-  const FaultSimResult strong_result = run_fault_simulation(c17.netlist, strong, ddm_);
+  const CampaignResult weak_result = campaign(c17.netlist, weak);
+  const CampaignResult strong_result = campaign(c17.netlist, strong);
   EXPECT_GT(strong_result.detected, weak_result.detected);
   EXPECT_GE(strong_result.coverage(), 0.9);
 }
@@ -99,7 +85,6 @@ TEST_F(FaultTest, SampleTimesAlignToVectorApplicationInstants) {
   const Stimulus stim = make_vector_stimulus(c17.netlist, words, 4.0, 0.3);
   FaultSimOptions options;
   options.sample_period = 4.0;
-  options.sample_epsilon = 0.1;
   const std::vector<TimeNs> times = fault_sample_times(stim, options);
   ASSERT_EQ(times.size(), 3u);
   EXPECT_DOUBLE_EQ(times[0], 3.9);   // initial word 0x00 settled
@@ -110,9 +95,9 @@ TEST_F(FaultTest, SampleTimesAlignToVectorApplicationInstants) {
 TEST_F(FaultTest, LastVectorDetectionUnderExplicitSampleBudget) {
   // y = AND(a, b); a/SA0 is detectable only by the vector a=1, b=1 -- the
   // LAST vector below.  Regression: the old k*period sample grid spent its
-  // first sample on the pre-vector initial state, so an explicit
-  // num_samples budget of one-per-vector silently dropped the last vector
-  // and reported this fault undetected.
+  // first sample on the pre-vector initial state, so a budget of one sample
+  // per vector silently dropped the last vector and reported this fault
+  // undetected.
   Netlist nl(lib_);
   const SignalId a = nl.add_primary_input("a");
   const SignalId b = nl.add_primary_input("b");
@@ -123,11 +108,8 @@ TEST_F(FaultTest, LastVectorDetectionUnderExplicitSampleBudget) {
 
   const std::vector<std::uint64_t> words{0b00, 0b01, 0b11};
   const Stimulus stim = make_vector_stimulus(nl, words);
-  FaultSimOptions options;
-  options.num_samples = static_cast<int>(words.size()) - 1;  // one per applied vector
 
-  const FaultSimResult result =
-      run_fault_simulation(nl, stim, ddm_, {Fault{a, false}}, options);
+  const CampaignResult result = campaign(nl, stim, {Fault{a, false}});
   EXPECT_EQ(result.detected, 1u) << "a/SA0 is only visible at the last vector";
   EXPECT_TRUE(result.undetected.empty());
 }
@@ -142,11 +124,11 @@ TEST_F(FaultTest, OffGridStimulusStillObservesEveryVector) {
   const std::vector<std::uint64_t> words{0x00, 0x1F, 0x0A, 0x15};
   stim.apply_sequence(inputs, words, 3.0, 3.0);
 
-  const FaultSimResult aligned = run_fault_simulation(c17.netlist, stim, ddm_);
+  const CampaignResult aligned = campaign(c17.netlist, stim);
 
   Stimulus reference(0.4);
   reference.apply_sequence(inputs, words, 5.0, 5.0);
-  const FaultSimResult on_grid = run_fault_simulation(c17.netlist, reference, ddm_);
+  const CampaignResult on_grid = campaign(c17.netlist, reference);
   // Same vectors, same settled responses: identical verdicts.
   EXPECT_EQ(aligned.detected, on_grid.detected);
   EXPECT_EQ(aligned.undetected.size(), on_grid.undetected.size());
@@ -163,7 +145,8 @@ TEST_F(FaultTest, AtpgReachesHighCoverageOnC17) {
   AtpgOptions options;
   options.max_candidates = 120;
   options.seed = 3;
-  const AtpgResult result = generate_tests(c17.netlist, ddm_, options);
+  const TimingGraph timing = TimingGraph::build(c17.netlist, ddm_.timing_policy());
+  const AtpgResult result = generate_tests(c17.netlist, ddm_, timing, options);
   EXPECT_GE(result.coverage(), 0.95);
   EXPECT_EQ(result.detected + result.undetected.size(), result.total_faults);
   // The compact set is much smaller than the candidate budget.
@@ -172,7 +155,7 @@ TEST_F(FaultTest, AtpgReachesHighCoverageOnC17) {
 
   // Replaying the generated set reproduces the claimed coverage.
   const Stimulus replay = make_vector_stimulus(c17.netlist, result.words);
-  const FaultSimResult check = run_fault_simulation(c17.netlist, replay, ddm_);
+  const CampaignResult check = campaign(c17.netlist, replay);
   EXPECT_EQ(check.detected, result.detected);
 }
 
@@ -181,8 +164,9 @@ TEST_F(FaultTest, AtpgDeterministicPerSeed) {
   AtpgOptions options;
   options.max_candidates = 60;
   options.seed = 11;
-  const AtpgResult a = generate_tests(c17.netlist, ddm_, options);
-  const AtpgResult b = generate_tests(c17.netlist, ddm_, options);
+  const TimingGraph timing = TimingGraph::build(c17.netlist, ddm_.timing_policy());
+  const AtpgResult a = generate_tests(c17.netlist, ddm_, timing, options);
+  const AtpgResult b = generate_tests(c17.netlist, ddm_, timing, options);
   EXPECT_EQ(a.words, b.words);
   EXPECT_EQ(a.detected, b.detected);
 }
@@ -208,7 +192,7 @@ TEST_F(FaultTest, SpecificFaultSubsetOnly) {
 
   const std::vector<Fault> subset{Fault{c17.outputs[0], false},
                                   Fault{c17.outputs[0], true}};
-  const FaultSimResult result = run_fault_simulation(c17.netlist, stim, ddm_, subset);
+  const CampaignResult result = campaign(c17.netlist, stim, subset);
   EXPECT_EQ(result.total, 2u);
   EXPECT_EQ(result.detected, 2u);  // an output line fault is always visible
 }

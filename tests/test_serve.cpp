@@ -373,6 +373,7 @@ TEST_F(ServeTest, StaFaultAndVariationMatchLocalMode) {
   const std::vector<std::vector<std::string>> commands{
       {"sta", "--netlist", netlist, "--sdf", (dir_ / "b.sdf").string(), "--per-arc"},
       {"fault", "--netlist", netlist, "--stim", stim, "--threads", "2"},
+      {"fault", "--netlist", netlist, "--atpg", "--candidates", "40", "--seed", "5"},
       {"variation", "--netlist", netlist, "--stim", stim, "--samples", "25",
        "--seed", "7", "--replay"},
   };
@@ -388,6 +389,24 @@ TEST_F(ServeTest, StaFaultAndVariationMatchLocalMode) {
         << commands[i][0];
     EXPECT_EQ(daemon.err, locals[i].err) << commands[i][0];
   }
+}
+
+TEST_F(ServeTest, AtpgInputErrorLeavesTheDaemonServing) {
+  // ATPG on a netlist without primary inputs is an input error (exit 1),
+  // answered like any other -- the daemon keeps serving afterwards.
+  const std::vector<std::string> atpg{"fault", "--netlist", write("empty.bench", ""),
+                                      "--atpg"};
+  const std::string netlist = write("a.bench", kBenchA);
+  const std::vector<std::string> sim{"sim", "--netlist", netlist, "--stim",
+                                     write("a.stim", kStimA)};
+  const Capture local_atpg = run_args(atpg);
+  ASSERT_EQ(local_atpg.code, 1);
+  EXPECT_NE(local_atpg.err.find("ATPG needs 1 to 64 primary inputs"), std::string::npos)
+      << local_atpg.err;
+
+  start_daemon(2);
+  EXPECT_EQ(run_daemon(atpg), local_atpg);
+  EXPECT_EQ(run_daemon(sim), run_args(sim));
 }
 
 TEST_F(ServeTest, ArtifactsArriveByteIdenticalAndAtomic) {

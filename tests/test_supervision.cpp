@@ -408,10 +408,9 @@ TEST_F(CampaignFailureTest, TransientWorkerFailureIsRetriedInvisibly) {
   C17Circuit c17 = make_c17(lib);
   const Stimulus stim = staggered_random_stimulus(c17.inputs, 12, 3);
 
-  CampaignOptions options;
-  options.threads = 1;
-  const CampaignResult clean =
-      run_fault_campaign(c17.netlist, stim, ddm, {}, options);
+  const TimingGraph timing = TimingGraph::build(c17.netlist, ddm.timing_policy());
+  CampaignEngine engine(c17.netlist, ddm, timing, 1);
+  const CampaignResult clean = engine.run(stim);
   ASSERT_GT(clean.total, 0u);
   EXPECT_EQ(clean.errors, 0u);
   EXPECT_EQ(clean.retried, 0u);
@@ -419,8 +418,7 @@ TEST_F(CampaignFailureTest, TransientWorkerFailureIsRetriedInvisibly) {
   // One injected failure mid-campaign: the task is retried from clean
   // state, so every verdict still matches the clean run.
   FailPoints::instance().arm("worker.task", 3);
-  const CampaignResult injected =
-      run_fault_campaign(c17.netlist, stim, ddm, {}, options);
+  const CampaignResult injected = engine.run(stim);
   EXPECT_EQ(injected.retried, 1u);
   EXPECT_EQ(injected.errors, 0u);
   EXPECT_EQ(injected.detected, clean.detected);
@@ -434,11 +432,10 @@ TEST_F(CampaignFailureTest, PersistentWorkerFailureBecomesErrorVerdicts) {
   C17Circuit c17 = make_c17(lib);
   const Stimulus stim = staggered_random_stimulus(c17.inputs, 12, 3);
 
+  const TimingGraph timing = TimingGraph::build(c17.netlist, ddm.timing_policy());
+  CampaignEngine engine(c17.netlist, ddm, timing, 1);
   FailPoints::instance().arm("worker.task", 1, /*repeat=*/true);
-  CampaignOptions options;
-  options.threads = 1;
-  const CampaignResult result =
-      run_fault_campaign(c17.netlist, stim, ddm, {}, options);
+  const CampaignResult result = engine.run(stim);
   ASSERT_GT(result.total, 0u);
   // Every faulty run failed (and was retried once): nothing is detected,
   // so injected failures can only lower coverage, never inflate it.
@@ -466,11 +463,11 @@ TEST_F(CampaignFailureTest, CancelledCampaignRethrowsTheOriginalRunError) {
   RunSupervisor supervisor(budget, token);
   supervisor.arm();
   token.cancel();
-  CampaignOptions options;
-  options.threads = 2;
-  options.supervisor = &supervisor;
+  const TimingGraph timing = TimingGraph::build(c17.netlist, ddm.timing_policy());
+  CampaignEngine engine(c17.netlist, ddm, timing, 2);
+  engine.supervise(&supervisor);
   try {
-    (void)run_fault_campaign(c17.netlist, stim, ddm, {}, options);
+    (void)engine.run(stim);
     FAIL() << "expected RunError(kCancelled)";
   } catch (const RunError& e) {
     // Never a WorkerPoolError wrapper: the taxonomy survives the pool.
