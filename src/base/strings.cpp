@@ -1,5 +1,6 @@
 #include "src/base/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -60,6 +61,16 @@ std::string to_upper(std::string_view text) {
 
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
+}
+
+bool iequals(std::string_view text, std::string_view upper) {
+  return std::equal(text.begin(), text.end(), upper.begin(), upper.end(), [](char c, char u) {
+    return static_cast<char>(std::toupper(static_cast<unsigned char>(c))) == u;
+  });
+}
+
+bool istarts_with(std::string_view text, std::string_view upper) {
+  return text.size() >= upper.size() && iequals(text.substr(0, upper.size()), upper);
 }
 
 double parse_double(std::string_view text, std::string_view context) {

@@ -25,6 +25,13 @@ namespace halotis {
 /// True when `text` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
 
+/// ASCII case-insensitive equality against an upper-case keyword: the
+/// check of `to_upper(text) == upper` without building the copy.
+[[nodiscard]] bool iequals(std::string_view text, std::string_view upper);
+
+/// `starts_with`, ASCII case-insensitive against an upper-case prefix.
+[[nodiscard]] bool istarts_with(std::string_view text, std::string_view upper);
+
 /// Parses a double, throwing ContractViolation with `context` on failure.
 [[nodiscard]] double parse_double(std::string_view text, std::string_view context);
 

@@ -11,7 +11,7 @@ CellId Library::add(Cell cell) {
   require(static_cast<int>(cell.pins.size()) == num_inputs(cell.kind),
           "Library::add(): pin count does not match cell kind");
   require(by_name_.find(cell.name) == by_name_.end(),
-          std::string("Library::add(): duplicate cell name '") + cell.name + "'");
+          [&] { return "Library::add(): duplicate cell name '" + cell.name + "'"; });
   const CellId id{static_cast<CellId::underlying_type>(cells_.size())};
   by_name_.emplace(cell.name, id);
   default_by_kind_.try_emplace(cell.kind, id);
@@ -31,8 +31,9 @@ Cell& Library::mutable_cell(CellId id) {
 
 CellId Library::find(std::string_view cell_name) const {
   const auto found = try_find(cell_name);
-  require(found.has_value(),
-          std::string("Library::find(): no cell named '") + std::string(cell_name) + "'");
+  require(found.has_value(), [&] {
+    return "Library::find(): no cell named '" + std::string(cell_name) + "'";
+  });
   return *found;
 }
 
@@ -44,9 +45,9 @@ std::optional<CellId> Library::try_find(std::string_view cell_name) const {
 
 CellId Library::by_kind(CellKind kind) const {
   const auto it = default_by_kind_.find(kind);
-  require(it != default_by_kind_.end(),
-          std::string("Library::by_kind(): no cell of kind ") +
-              std::string(cell_kind_name(kind)));
+  require(it != default_by_kind_.end(), [&] {
+    return "Library::by_kind(): no cell of kind " + std::string(cell_kind_name(kind));
+  });
   return it->second;
 }
 

@@ -18,15 +18,20 @@ SignalId Netlist::add_primary_input(std::string name) {
 
 SignalId Netlist::add_signal_impl(std::string name, bool primary_input) {
   require(!name.empty(), "Netlist::add_signal(): signal name must not be empty");
-  require(signal_by_name_.find(name) == signal_by_name_.end(),
-          std::string("Netlist::add_signal(): duplicate signal name '") + name + "'");
   const SignalId id{static_cast<SignalId::underlying_type>(signals_.size())};
-  Signal signal;
-  signal.name = name;
+  const bool inserted = signal_by_name_.try_emplace(name, id).second;
+  require(inserted, [&] { return "Netlist::add_signal(): duplicate signal name '" + name + "'"; });
+  Signal& signal = signals_.emplace_back();
+  signal.name = std::move(name);
   signal.is_primary_input = primary_input;
-  signal_by_name_.emplace(std::move(name), id);
-  signals_.push_back(std::move(signal));
   return id;
+}
+
+void Netlist::reserve(std::size_t signals, std::size_t gates) {
+  signals_.reserve(signals);
+  signal_by_name_.reserve(signals);
+  gates_.reserve(gates);
+  gate_by_name_.reserve(gates);
 }
 
 void Netlist::mark_primary_output(SignalId signal_id) {
@@ -45,26 +50,23 @@ void Netlist::set_wire_cap(SignalId signal_id, Farad cap) {
 GateId Netlist::add_gate(std::string name, CellId cell_id,
                          std::span<const SignalId> inputs, SignalId output) {
   const Cell& cell = library_->cell(cell_id);
-  require(static_cast<int>(inputs.size()) == num_inputs(cell.kind),
-          std::string("Netlist::add_gate(): '") + name + "' input count does not match " +
-              std::string(cell_kind_name(cell.kind)));
+  require(static_cast<int>(inputs.size()) == num_inputs(cell.kind), [&] {
+    return "Netlist::add_gate(): '" + name + "' input count does not match " +
+           std::string(cell_kind_name(cell.kind));
+  });
   require(!name.empty(), "Netlist::add_gate(): gate name must not be empty");
   require(gate_by_name_.find(name) == gate_by_name_.end(),
-          std::string("Netlist::add_gate(): duplicate gate name '") + name + "'");
+          [&] { return "Netlist::add_gate(): duplicate gate name '" + name + "'"; });
   require(output.valid() && output.value() < signals_.size(),
           "Netlist::add_gate(): invalid output signal");
   Signal& out = signals_[output.value()];
   require(!out.driver.valid(),
-          std::string("Netlist::add_gate(): signal '") + out.name + "' already driven");
-  require(!out.is_primary_input,
-          std::string("Netlist::add_gate(): cannot drive primary input '") + out.name + "'");
+          [&] { return "Netlist::add_gate(): signal '" + out.name + "' already driven"; });
+  require(!out.is_primary_input, [&] {
+    return "Netlist::add_gate(): cannot drive primary input '" + out.name + "'";
+  });
 
   const GateId gate_id{static_cast<GateId::underlying_type>(gates_.size())};
-  Gate gate;
-  gate.name = name;
-  gate.cell = cell_id;
-  gate.inputs.assign(inputs.begin(), inputs.end());
-  gate.output = output;
   out.driver = gate_id;
   for (int pin = 0; pin < static_cast<int>(inputs.size()); ++pin) {
     const SignalId in = inputs[static_cast<std::size_t>(pin)];
@@ -72,8 +74,12 @@ GateId Netlist::add_gate(std::string name, CellId cell_id,
             "Netlist::add_gate(): invalid input signal");
     signals_[in.value()].fanout.push_back(PinRef{gate_id, pin});
   }
-  gate_by_name_.emplace(std::move(name), gate_id);
-  gates_.push_back(std::move(gate));
+  gate_by_name_.emplace(name, gate_id);
+  Gate& gate = gates_.emplace_back();
+  gate.name = std::move(name);
+  gate.cell = cell_id;
+  gate.inputs.assign(inputs.begin(), inputs.end());
+  gate.output = output;
   return gate_id;
 }
 
@@ -93,13 +99,13 @@ const Signal& Netlist::signal(SignalId id) const {
 }
 
 std::optional<SignalId> Netlist::find_signal(std::string_view name) const {
-  const auto it = signal_by_name_.find(std::string(name));
+  const auto it = signal_by_name_.find(name);
   if (it == signal_by_name_.end()) return std::nullopt;
   return it->second;
 }
 
 std::optional<GateId> Netlist::find_gate(std::string_view name) const {
-  const auto it = gate_by_name_.find(std::string(name));
+  const auto it = gate_by_name_.find(name);
   if (it == gate_by_name_.end()) return std::nullopt;
   return it->second;
 }
@@ -246,7 +252,7 @@ void Netlist::check() const {
   for (std::size_t s = 0; s < signals_.size(); ++s) {
     const Signal& sig = signals_[s];
     require(sig.is_primary_input || sig.driver.valid(),
-            std::string("Netlist::check(): signal '") + sig.name + "' has no driver");
+            [&] { return "Netlist::check(): signal '" + sig.name + "' has no driver"; });
     for (const PinRef& ref : sig.fanout) {
       require(ref.gate.valid() && ref.gate.value() < gates_.size(),
               "Netlist::check(): dangling fanout gate reference");
@@ -259,9 +265,9 @@ void Netlist::check() const {
   }
   for (const Gate& g : gates_) {
     require(static_cast<int>(g.inputs.size()) == num_inputs(library_->cell(g.cell).kind),
-            std::string("Netlist::check(): gate '") + g.name + "' pin count mismatch");
-    require(g.output.valid(), std::string("Netlist::check(): gate '") + g.name +
-                                  "' has no output signal");
+            [&] { return "Netlist::check(): gate '" + g.name + "' pin count mismatch"; });
+    require(g.output.valid(),
+            [&] { return "Netlist::check(): gate '" + g.name + "' has no output signal"; });
   }
 }
 

@@ -6,6 +6,7 @@
 // by id.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -59,6 +60,8 @@ class Netlist {
   /// Creates a signal driven by the testbench.
   SignalId add_primary_input(std::string name);
   void mark_primary_output(SignalId signal);
+  /// Pre-sizes storage for a netlist of about this many signals and gates.
+  void reserve(std::size_t signals, std::size_t gates);
   void set_wire_cap(SignalId signal, Farad cap);
 
   /// Instantiates `cell` driving `output` from `inputs`.  Each signal may
@@ -136,8 +139,16 @@ class Netlist {
   std::vector<Signal> signals_;
   std::vector<SignalId> primary_inputs_;
   std::vector<SignalId> primary_outputs_;
-  std::unordered_map<std::string, SignalId> signal_by_name_;
-  std::unordered_map<std::string, GateId> gate_by_name_;
+  /// Transparent string hash: find_signal / find_gate look a view up
+  /// without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, SignalId, NameHash, std::equal_to<>> signal_by_name_;
+  std::unordered_map<std::string, GateId, NameHash, std::equal_to<>> gate_by_name_;
 };
 
 }  // namespace halotis

@@ -1,9 +1,12 @@
 #include "src/parsers/bench_format.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/check.hpp"
@@ -13,264 +16,267 @@ namespace halotis {
 
 namespace {
 
+constexpr std::size_t npos = std::string_view::npos;
+
+/// One bench operator.  NOT/BUFF take exactly one input.  The n-ary ones
+/// map 2-4 inputs to the library cell of that width when there is one (a
+/// narrower kind marks a missing width) and decompose wider gates into a
+/// balanced tree of `core` cells closed by the 2-input cell.  A 1-input
+/// use of any operator is a BUF, or a NOT when it is inverting.
+struct OpSpec {
+  std::string_view name;
+  std::array<CellKind, 3> by_width;  ///< 2-, 3- and 4-input cell
+  CellKind core;                     ///< non-inverting 2-input tree stage
+  bool inverting;
+  bool unary;
+};
+
+using enum CellKind;
+constexpr OpSpec kOps[] = {
+    {"AND", {kAnd2, kAnd3, kAnd4}, kAnd2, false, false},
+    {"NAND", {kNand2, kNand3, kNand4}, kAnd2, true, false},
+    {"OR", {kOr2, kOr3, kOr4}, kOr2, false, false},
+    {"NOR", {kNor2, kNor3, kNor4}, kOr2, true, false},
+    {"XOR", {kXor2, kXor3, kXor2}, kXor2, false, false},
+    {"XNOR", {kXnor2, kXnor2, kXnor2}, kXor2, true, false},
+    {"NOT", {kInv, kInv, kInv}, kInv, true, true},
+    {"INV", {kInv, kInv, kInv}, kInv, true, true},
+    {"BUFF", {kBuf, kBuf, kBuf}, kBuf, false, true},
+    {"BUF", {kBuf, kBuf, kBuf}, kBuf, false, true},
+};
+
+/// One distinct name of the deck: a view into the text plus what declares it.
+struct Name {
+  std::string_view text;
+  int input_line = 0;  ///< line of its INPUT, 0 when none
+  int gate = -1;       ///< index of the gate defining it, -1 when none
+  SignalId id;         ///< assigned at instantiation
+};
+
 struct PendingGate {
-  std::string output;
-  std::string op;
-  std::vector<std::string> inputs;
-  int line = 0;
+  std::uint32_t output;       ///< name slot
+  std::uint32_t first_fanin;  ///< into the flat fanin list
+  std::uint32_t num_fanins;
+  int line;
+  const OpSpec* op;           ///< null for an unknown operator
+  std::string_view op_text;   ///< as written, for the unknown-operator diagnostic
 };
 
-/// Base (2-input) kind for an n-ary bench operator; `inverting` reports
-/// whether the overall function complements the associative core.
-struct OpInfo {
-  CellKind kind2;
-  CellKind kind3;
-  CellKind kind4;
-  bool inverting;  // NAND/NOR/XNOR need a final inverter when decomposed
-};
-
-OpInfo op_info(const std::string& op, int line) {
-  if (op == "AND") return {CellKind::kAnd2, CellKind::kAnd3, CellKind::kAnd4, false};
-  if (op == "NAND") return {CellKind::kNand2, CellKind::kNand3, CellKind::kNand4, true};
-  if (op == "OR") return {CellKind::kOr2, CellKind::kOr3, CellKind::kOr4, false};
-  if (op == "NOR") return {CellKind::kNor2, CellKind::kNor3, CellKind::kNor4, true};
-  if (op == "XOR") return {CellKind::kXor2, CellKind::kXor3, CellKind::kXor2, false};
-  if (op == "XNOR") return {CellKind::kXnor2, CellKind::kXnor2, CellKind::kXnor2, true};
-  require(false, "bench: unknown gate '" + op + "' on line " + std::to_string(line));
-  return {};
+std::string on_line(std::string_view what, int line) {
+  return "bench: " + std::string(what) + " on line " + std::to_string(line);
 }
+
+std::string quoted(std::string_view name) { return "'" + std::string(name) + "'"; }
 
 }  // namespace
 
-Netlist read_bench(std::string_view text, const Library& library) {
-  std::istringstream stream{std::string(text)};
-  return read_bench_stream(stream, library);
-}
-
 Netlist read_bench_file(const std::string& path, const Library& library) {
-  std::ifstream in(path);
-  require(in.good(), "bench: cannot open file '" + path + "'");
-  return read_bench_stream(in, library);
+  std::ifstream in(path, std::ios::binary);
+  require(in.good(), [&] { return "bench: cannot open file '" + path + "'"; });
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return read_bench(text, library);
 }
 
-Netlist read_bench_stream(std::istream& in, const Library& library) {
-  Netlist netlist(library);
-  std::vector<std::string> outputs;
-  std::vector<PendingGate> gates;
-  std::map<std::string, SignalId> signals;
-  std::map<std::string, int> input_lines;    ///< INPUT name -> declaring line
-  std::map<std::string, int> defined_lines;  ///< gate output -> defining line
-
-  const auto get_signal = [&](const std::string& name) {
-    const auto it = signals.find(name);
-    if (it != signals.end()) return it->second;
-    const SignalId id = netlist.add_signal(name);
-    signals.emplace(name, id);
-    return id;
+Netlist read_bench(std::string_view text, const Library& library) {
+  // Every name is interned once, into a hashed view -> slot table over the
+  // text; the checks and the instantiation below work on slot indices.
+  std::unordered_map<std::string_view, std::uint32_t> slots;
+  std::vector<Name> names;
+  const auto intern = [&](std::string_view name) {
+    const auto [it, inserted] = slots.try_emplace(name, static_cast<std::uint32_t>(names.size()));
+    if (inserted) names.push_back(Name{name, 0, -1, SignalId{}});
+    return it->second;
   };
+  std::vector<std::uint32_t> inputs;                   ///< INPUT slots, in order
+  std::vector<std::pair<std::uint32_t, int>> outputs;  ///< OUTPUT slot and line
+  std::vector<PendingGate> gates;
+  std::vector<std::uint32_t> fanins;  ///< every gate's fanin slots, gate by gate
 
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::string_view view = trim(line);
-    const std::size_t hash = view.find('#');
-    if (hash != std::string_view::npos) view = trim(view.substr(0, hash));
+  int line = 0;
+  for (std::size_t pos = 0, end = 0; pos < text.size(); pos = end + 1) {
+    end = std::min(text.find('\n', pos), text.size());
+    ++line;
+    std::string_view view = text.substr(pos, end - pos);
+    view = trim(view.substr(0, view.find('#')));
     if (view.empty()) continue;
 
-    const std::string upper = to_upper(view);
-    if (starts_with(upper, "INPUT(") || starts_with(upper, "OUTPUT(")) {
+    const bool is_input = istarts_with(view, "INPUT(");
+    if (is_input || istarts_with(view, "OUTPUT(")) {
       const std::size_t open = view.find('(');
       const std::size_t close = view.rfind(')');
-      require(close != std::string_view::npos && close > open,
-              "bench: malformed port on line " + std::to_string(line_number));
-      const std::string name{trim(view.substr(open + 1, close - open - 1))};
-      require(!name.empty(), "bench: empty port name on line " + std::to_string(line_number));
-      if (starts_with(upper, "INPUT(")) {
-        require(signals.find(name) == signals.end(),
-                "bench: duplicate INPUT '" + name + "' on line " +
-                    std::to_string(line_number));
-        signals.emplace(name, netlist.add_primary_input(name));
-        input_lines.emplace(name, line_number);
-      } else {
-        outputs.push_back(name);
+      require(close != npos && close > open, [&] { return on_line("malformed port", line); });
+      const std::string_view name = trim(view.substr(open + 1, close - open - 1));
+      require(!name.empty(), [&] { return on_line("empty port name", line); });
+      const std::uint32_t slot = intern(name);
+      if (!is_input) {
+        outputs.emplace_back(slot, line);
+        continue;
       }
+      Name& n = names[slot];
+      require(n.input_line == 0,
+              [&] { return on_line("duplicate INPUT " + quoted(name), line); });
+      require(n.gate < 0, [&] {
+        return on_line("INPUT " + quoted(name), line) + " is already defined by the gate on line " +
+               std::to_string(gates[static_cast<std::size_t>(n.gate)].line);
+      });
+      n.input_line = line;
+      inputs.push_back(slot);
       continue;
     }
 
     const std::size_t eq = view.find('=');
-    require(eq != std::string_view::npos,
-            "bench: expected assignment on line " + std::to_string(line_number));
-    PendingGate gate;
-    gate.line = line_number;
-    gate.output = std::string(trim(view.substr(0, eq)));
-    std::string_view rhs = trim(view.substr(eq + 1));
+    require(eq != npos, [&] { return on_line("expected assignment", line); });
+    const std::string_view output = trim(view.substr(0, eq));
+    const std::string_view rhs = trim(view.substr(eq + 1));
     const std::size_t open = rhs.find('(');
     const std::size_t close = rhs.rfind(')');
-    require(open != std::string_view::npos && close != std::string_view::npos && close > open,
-            "bench: malformed gate on line " + std::to_string(line_number));
-    gate.op = to_upper(trim(rhs.substr(0, open)));
-    require(gate.op != "DFF" && gate.op != "DFFSR",
-            "bench: sequential element on line " + std::to_string(line_number) +
-                " (HALOTIS simulates combinational logic)");
-    for (const std::string& piece : split(rhs.substr(open + 1, close - open - 1), ',')) {
-      require(!piece.empty(),
-              "bench: empty operand on line " + std::to_string(line_number));
-      gate.inputs.push_back(piece);
+    require(open != npos && close != npos && close > open,
+            [&] { return on_line("malformed gate", line); });
+    PendingGate gate{0, static_cast<std::uint32_t>(fanins.size()), 0, line, nullptr,
+                     trim(rhs.substr(0, open))};
+    require(!iequals(gate.op_text, "DFF") && !iequals(gate.op_text, "DFFSR"), [&] {
+      return on_line("sequential element", line) +
+             " (HALOTIS simulates combinational logic)";
+    });
+    for (const OpSpec& op : kOps) {
+      if (iequals(gate.op_text, op.name)) gate.op = &op;
     }
-    require(!gate.inputs.empty(),
-            "bench: gate without inputs on line " + std::to_string(line_number));
-    require(!gate.output.empty(),
-            "bench: empty gate output name on line " + std::to_string(line_number));
-    {
-      const auto prev = defined_lines.find(gate.output);
-      require(prev == defined_lines.end(),
-              "bench: duplicate definition of '" + gate.output + "' on line " +
-                  std::to_string(line_number) + " (first defined on line " +
-                  std::to_string(prev == defined_lines.end() ? 0 : prev->second) +
-                  ")");
-      const auto pi = input_lines.find(gate.output);
-      require(pi == input_lines.end(),
-              "bench: gate on line " + std::to_string(line_number) +
-                  " redefines INPUT '" + gate.output + "' (declared on line " +
-                  std::to_string(pi == input_lines.end() ? 0 : pi->second) + ")");
-      defined_lines.emplace(gate.output, line_number);
+    for (std::string_view list = rhs.substr(open + 1, close - open - 1);;) {
+      const std::size_t comma = list.find(',');
+      const std::string_view piece = trim(list.substr(0, comma));
+      require(!piece.empty(), [&] { return on_line("empty operand", line); });
+      fanins.push_back(intern(piece));
+      ++gate.num_fanins;
+      if (comma == npos) break;
+      list.remove_prefix(comma + 1);
     }
-    gates.push_back(std::move(gate));
+    require(gate.num_fanins > 0, [&] { return on_line("gate without inputs", line); });
+    require(!output.empty(), [&] { return on_line("empty gate output name", line); });
+    gate.output = intern(output);
+    Name& n = names[gate.output];
+    require(n.gate < 0, [&] {
+      return on_line("duplicate definition of " + quoted(output), line) +
+             " (first defined on line " +
+             std::to_string(gates[static_cast<std::size_t>(n.gate)].line) + ")";
+    });
+    require(n.input_line == 0, [&] {
+      return "bench: gate on line " + std::to_string(line) + " redefines INPUT " +
+             quoted(output) + " (declared on line " + std::to_string(n.input_line) + ")";
+    });
+    n.gate = static_cast<int>(gates.size());
+    gates.push_back(gate);
   }
+  const auto fanins_of = [&](const PendingGate& g) {
+    return std::span<const std::uint32_t>(fanins).subspan(g.first_fanin, g.num_fanins);
+  };
 
   // Every fanin must be an INPUT or some gate's output -- a silently
   // created undriven signal would only be diagnosed (nameless) much later.
   for (const PendingGate& g : gates) {
-    for (const std::string& in_name : g.inputs) {
-      require(input_lines.count(in_name) != 0 || defined_lines.count(in_name) != 0,
-              "bench: undeclared fanin '" + in_name + "' on line " +
-                  std::to_string(g.line));
+    for (const std::uint32_t slot : fanins_of(g)) {
+      require(names[slot].input_line != 0 || names[slot].gate >= 0, [&] {
+        return on_line("undeclared fanin " + quoted(names[slot].text), g.line);
+      });
     }
   }
 
   // Cycle check over the pending gates (iterative DFS, three colours).  A
   // combinational deck must be acyclic; Netlist::check() cannot report the
   // offending source line, so detect it here.
-  {
-    std::map<std::string, std::size_t> gate_of_output;
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-      gate_of_output.emplace(gates[i].output, i);
-    }
-    std::vector<int> colour(gates.size(), 0);  // 0 white, 1 grey, 2 black
-    for (std::size_t root = 0; root < gates.size(); ++root) {
-      if (colour[root] != 0) continue;
-      std::vector<std::pair<std::size_t, std::size_t>> stack{{root, 0}};
-      colour[root] = 1;
-      while (!stack.empty()) {
-        auto& [g, next_in] = stack.back();
-        if (next_in == gates[g].inputs.size()) {
-          colour[g] = 2;
-          stack.pop_back();
-          continue;
-        }
-        const auto it = gate_of_output.find(gates[g].inputs[next_in++]);
-        if (it == gate_of_output.end()) continue;  // primary input
-        const std::size_t dep = it->second;
-        require(colour[dep] != 1,
-                "bench: cyclic definition of '" + gates[dep].output +
-                    "' on line " + std::to_string(gates[dep].line) +
-                    " (reached again from '" + gates[g].output + "' on line " +
-                    std::to_string(gates[g].line) + ")");
-        if (colour[dep] == 0) {
-          colour[dep] = 1;
-          stack.emplace_back(dep, 0);
-        }
+  std::vector<std::uint8_t> colour(gates.size(), 0);  // 0 white, 1 grey, 2 black
+  std::vector<std::pair<std::size_t, std::uint32_t>> stack;  // gate, next fanin
+  for (std::size_t root = 0; root < gates.size(); ++root) {
+    if (colour[root] != 0) continue;
+    stack.emplace_back(root, 0);
+    colour[root] = 1;
+    while (!stack.empty()) {
+      const std::size_t g = stack.back().first;
+      std::uint32_t& next_in = stack.back().second;
+      if (next_in == gates[g].num_fanins) {
+        colour[g] = 2;
+        stack.pop_back();
+        continue;
+      }
+      const int dep = names[fanins_of(gates[g])[next_in++]].gate;
+      if (dep < 0) continue;  // primary input
+      std::uint8_t& dep_colour = colour[static_cast<std::size_t>(dep)];
+      require(dep_colour != 1, [&] {
+        const PendingGate& d = gates[static_cast<std::size_t>(dep)];
+        return on_line("cyclic definition of " + quoted(names[d.output].text), d.line) +
+               " (reached again from " + quoted(names[gates[g].output].text) + " on line " +
+               std::to_string(gates[g].line) + ")";
+      });
+      if (dep_colour == 0) {
+        dep_colour = 1;
+        stack.emplace_back(dep, 0);
       }
     }
   }
 
-  // Instantiate (two passes: signals first so order in the file is free).
-  for (const PendingGate& g : gates) (void)get_signal(g.output);
+  // Instantiate: INPUTs, then gate outputs, each in file order, so signal
+  // ids do not depend on where a name is first used.
+  Netlist netlist(library);
+  netlist.reserve(inputs.size() + gates.size(), gates.size());
+  for (const std::uint32_t slot : inputs) {
+    names[slot].id = netlist.add_primary_input(std::string(names[slot].text));
+  }
   for (const PendingGate& g : gates) {
-    for (const std::string& in_name : g.inputs) (void)get_signal(in_name);
+    names[g.output].id = netlist.add_signal(std::string(names[g.output].text));
   }
 
   int synth_counter = 0;
+  std::vector<SignalId> ins;
   for (const PendingGate& g : gates) {
-    const SignalId out = get_signal(g.output);
-    std::vector<SignalId> ins;
-    ins.reserve(g.inputs.size());
-    for (const std::string& name : g.inputs) ins.push_back(get_signal(name));
+    const SignalId out = names[g.output].id;
+    ins.clear();
+    for (const std::uint32_t slot : fanins_of(g)) ins.push_back(names[slot].id);
+    std::string gate_name{"g_"};
+    gate_name += names[g.output].text;
 
-    const std::string gate_name = "g_" + g.output;
-    if (g.op == "NOT" || g.op == "INV") {
-      require(ins.size() == 1, "bench: NOT takes one input (line " +
-                                   std::to_string(g.line) + ")");
-      (void)netlist.add_gate(gate_name, CellKind::kInv, ins, out);
-      continue;
-    }
-    if (g.op == "BUFF" || g.op == "BUF") {
-      require(ins.size() == 1, "bench: BUFF takes one input (line " +
-                                   std::to_string(g.line) + ")");
-      (void)netlist.add_gate(gate_name, CellKind::kBuf, ins, out);
-      continue;
-    }
-
-    const OpInfo info = op_info(g.op, g.line);
+    require(g.op != nullptr,
+            [&] { return on_line("unknown gate " + quoted(to_upper(g.op_text)), g.line); });
+    const OpSpec& op = *g.op;
+    require(!op.unary || ins.size() == 1, [&] {
+      return std::string("bench: ") + (op.inverting ? "NOT" : "BUFF") +
+             " takes one input (line " + std::to_string(g.line) + ")";
+    });
     if (ins.size() == 1) {
       // Degenerate 1-input AND/OR = BUF; NAND/NOR = NOT (seen in some decks).
-      (void)netlist.add_gate(gate_name, info.inverting ? CellKind::kInv : CellKind::kBuf,
-                             ins, out);
+      (void)netlist.add_gate(std::move(gate_name), op.inverting ? kInv : kBuf, ins, out);
       continue;
     }
-    if (ins.size() == 2) {
-      (void)netlist.add_gate(gate_name, info.kind2, ins, out);
-      continue;
-    }
-    if (ins.size() == 3 && num_inputs(info.kind3) == 3) {
-      (void)netlist.add_gate(gate_name, info.kind3, ins, out);
-      continue;
-    }
-    if (ins.size() == 4 && num_inputs(info.kind4) == 4) {
-      (void)netlist.add_gate(gate_name, info.kind4, ins, out);
+    const std::size_t width = ins.size();
+    if (width <= 4 && num_inputs(op.by_width[width - 2]) == static_cast<int>(width)) {
+      (void)netlist.add_gate(std::move(gate_name), op.by_width[width - 2], ins, out);
       continue;
     }
 
     // Wide gate: balanced tree of the non-inverting core kind, then a final
-    // stage that applies the complement if needed.  XOR/XNOR chain by parity,
-    // AND/OR/NAND/NOR by conjunction/disjunction.
-    const bool is_parity = (g.op == "XOR" || g.op == "XNOR");
-    const CellKind core2 = is_parity ? CellKind::kXor2
-                          : (g.op == "AND" || g.op == "NAND") ? CellKind::kAnd2
-                                                              : CellKind::kOr2;
+    // 2-input stage of the operator itself, which applies the complement if
+    // needed.  XOR/XNOR chain by parity, AND/OR/NAND/NOR by conjunction or
+    // disjunction.
     std::vector<SignalId> level = ins;
     while (level.size() > 2) {
       std::vector<SignalId> next;
       for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-        const SignalId mid =
-            netlist.add_signal("bench_t" + std::to_string(synth_counter));
+        const std::string n = std::to_string(synth_counter++);
+        next.push_back(netlist.add_signal("bench_t" + n));
         const std::array<SignalId, 2> pair{level[i], level[i + 1]};
-        (void)netlist.add_gate("bench_g" + std::to_string(synth_counter), core2, pair,
-                               mid);
-        ++synth_counter;
-        next.push_back(mid);
+        (void)netlist.add_gate("bench_g" + n, op.core, pair, next.back());
       }
       if (level.size() % 2 == 1) next.push_back(level.back());
       level = std::move(next);
     }
-    // Final 2-input stage produces the complement directly when required.
-    CellKind final_kind;
-    if (is_parity) {
-      final_kind = (g.op == "XNOR") ? CellKind::kXnor2 : CellKind::kXor2;
-    } else if (g.op == "AND" || g.op == "NAND") {
-      final_kind = info.inverting ? CellKind::kNand2 : CellKind::kAnd2;
-    } else {
-      final_kind = info.inverting ? CellKind::kNor2 : CellKind::kOr2;
-    }
     const std::array<SignalId, 2> pair{level[0], level[1]};
-    (void)netlist.add_gate(gate_name, final_kind, pair, out);
+    (void)netlist.add_gate(std::move(gate_name), op.by_width[0], pair, out);
   }
 
-  for (const std::string& name : outputs) {
-    const auto it = signals.find(name);
-    require(it != signals.end(), "bench: OUTPUT '" + name + "' never defined");
-    netlist.mark_primary_output(it->second);
+  for (const auto& [slot, output_line] : outputs) {
+    const Name& n = names[slot];
+    require(n.input_line != 0 || n.gate >= 0, [&n, at = output_line] {
+      return on_line("OUTPUT " + quoted(n.text), at) + " never defined";
+    });
+    netlist.mark_primary_output(n.id);
   }
   netlist.check();
   return netlist;
@@ -289,22 +295,15 @@ std::string write_bench(const Netlist& netlist) {
     const GateId gid{static_cast<GateId::underlying_type>(g)};
     const Gate& gate = netlist.gate(gid);
     const CellKind kind = netlist.cell_of(gid).kind;
-    std::string op;
-    switch (kind) {
-      case CellKind::kBuf: op = "BUFF"; break;
-      case CellKind::kInv: op = "NOT"; break;
-      case CellKind::kAnd2: case CellKind::kAnd3: case CellKind::kAnd4: op = "AND"; break;
-      case CellKind::kNand2: case CellKind::kNand3: case CellKind::kNand4: op = "NAND"; break;
-      case CellKind::kOr2: case CellKind::kOr3: case CellKind::kOr4: op = "OR"; break;
-      case CellKind::kNor2: case CellKind::kNor3: case CellKind::kNor4: op = "NOR"; break;
-      case CellKind::kXor2: case CellKind::kXor3: op = "XOR"; break;
-      case CellKind::kXnor2: op = "XNOR"; break;
-      default:
-        require(false, std::string("write_bench(): cell kind ") +
-                           std::string(cell_kind_name(kind)) +
-                           " has no bench representation");
-    }
-    out << netlist.signal(gate.output).name << " = " << op << '(';
+    // The first operator with a cell of this kind: NOT for INV, BUFF for BUF.
+    const OpSpec* op = std::find_if(std::begin(kOps), std::end(kOps), [&](const OpSpec& spec) {
+      return std::ranges::find(spec.by_width, kind) != spec.by_width.end();
+    });
+    require(op != std::end(kOps), [&] {
+      return "write_bench(): cell kind " + std::string(cell_kind_name(kind)) +
+             " has no bench representation";
+    });
+    out << netlist.signal(gate.output).name << " = " << op->name << '(';
     for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
       if (i > 0) out << ", ";
       out << netlist.signal(gate.inputs[i]).name;

@@ -13,7 +13,6 @@
 // combinational timing simulator.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -23,7 +22,6 @@ namespace halotis {
 
 /// Parses `.bench` text into a netlist over `library`.
 [[nodiscard]] Netlist read_bench(std::string_view text, const Library& library);
-[[nodiscard]] Netlist read_bench_stream(std::istream& in, const Library& library);
 [[nodiscard]] Netlist read_bench_file(const std::string& path, const Library& library);
 
 /// Serializes a netlist to `.bench` text.  Only 1-4 input AND/NAND/OR/

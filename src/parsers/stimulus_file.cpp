@@ -52,11 +52,12 @@ TimeNs parse_time(const std::string& token, const std::string& context,
 
 SignalId lookup(const Netlist& netlist, const std::string& name, int line) {
   const auto id = netlist.find_signal(name);
-  require(id.has_value(),
-          "stimulus line " + std::to_string(line) + ": unknown signal '" + name + "'");
-  require(netlist.signal(*id).is_primary_input,
-          "stimulus line " + std::to_string(line) + ": '" + name +
-              "' is not a primary input");
+  require(id.has_value(), [&] {
+    return "stimulus line " + std::to_string(line) + ": unknown signal '" + name + "'";
+  });
+  require(netlist.signal(*id).is_primary_input, [&] {
+    return "stimulus line " + std::to_string(line) + ": '" + name + "' is not a primary input";
+  });
   return *id;
 }
 
@@ -101,18 +102,18 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
     const std::string context = "stimulus line " + std::to_string(line_number);
 
     if (keyword == "slew") {
-      require(tokens.size() == 2, context + ": slew takes one value");
+      require(tokens.size() == 2, [&] { return context + ": slew takes one value"; });
       continue;  // handled in the first pass
     }
     if (keyword == "init") {
-      require(tokens.size() == 3, context + ": init <signal> <0|1>");
+      require(tokens.size() == 3, [&] { return context + ": init <signal> <0|1>"; });
       stimulus.set_initial(lookup(netlist, tokens[1], line_number),
                            parse_unsigned(tokens[2], context) != 0);
       continue;
     }
     if (keyword == "edge") {
       require(tokens.size() == 4 || tokens.size() == 5,
-              context + ": edge <signal> <time> <0|1> [tau]");
+              [&] { return context + ": edge <signal> <time> <0|1> [tau]"; });
       const SignalId input = lookup(netlist, tokens[1], line_number);
       const TimeNs time = parse_time(tokens[2], context, "edge time", /*positive=*/false);
       const bool value = parse_unsigned(tokens[3], context) != 0;
@@ -130,19 +131,21 @@ Stimulus read_stimulus(std::string_view text, const Netlist& netlist) {
         msb_first.push_back(lookup(netlist, tokens[i], line_number));
         ++i;
       }
-      require(!msb_first.empty(), context + ": seq needs signals");
-      require(i + 1 < tokens.size() && tokens[i] == "start", context + ": expected 'start'");
+      require(!msb_first.empty(), [&] { return context + ": seq needs signals"; });
+      require(i + 1 < tokens.size() && tokens[i] == "start",
+              [&] { return context + ": expected 'start'"; });
       const TimeNs start = parse_time(tokens[i + 1], context, "seq start", /*positive=*/false);
       i += 2;
       require(i + 1 < tokens.size() && tokens[i] == "period",
-              context + ": expected 'period'");
+              [&] { return context + ": expected 'period'"; });
       const TimeNs period = parse_time(tokens[i + 1], context, "seq period", /*positive=*/true);
       i += 2;
-      require(i < tokens.size() && tokens[i] == "words", context + ": expected 'words'");
+      require(i < tokens.size() && tokens[i] == "words",
+              [&] { return context + ": expected 'words'"; });
       ++i;
       std::vector<std::uint64_t> words;
       for (; i < tokens.size(); ++i) words.push_back(parse_word(tokens[i], line_number));
-      require(!words.empty(), context + ": seq needs at least one word");
+      require(!words.empty(), [&] { return context + ": seq needs at least one word"; });
 
       for (const SignalId input : msb_first) check_order(input, start, context);
       std::vector<SignalId> lsb_first(msb_first.rbegin(), msb_first.rend());

@@ -820,6 +820,9 @@ int cmd_lint(const Options& options, std::ostream& out) {
 }
 
 int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) {
+  if (!options.has("atpg") && !options.has("stim")) {
+    throw UsageError("fault needs --stim F (or --atpg)");
+  }
   const std::unique_ptr<DelayModel> model = make_model(options);
   const std::shared_ptr<const serve::Elaboration> elab =
       service_elaboration(env, options, model->timing_policy(), /*want_sdf=*/false);
@@ -858,7 +861,9 @@ int cmd_fault(const Options& options, std::ostream& out, const ServiceEnv& env) 
   }
 
   const Stimulus stimulus = load_stimulus(env, options, netlist);
-  require(stimulus.last_edge_time() > 0.0, "fault simulation needs a --stim file");
+  require(stimulus.last_edge_time() > 0.0, [&] {
+    return "stimulus file '" + options.text("stim") + "' has no edges to fault-simulate";
+  });
 
   FaultSimOptions sampling;
   sampling.sample_period = options.number("period", 5.0);

@@ -125,6 +125,12 @@ TEST(Strings, SplitWhitespaceDropsEmpty) {
 TEST(Strings, CaseConversion) {
   EXPECT_EQ(to_lower("NaNd2"), "nand2");
   EXPECT_EQ(to_upper("NaNd2"), "NAND2");
+  EXPECT_TRUE(iequals("NaNd2", "NAND2"));
+  EXPECT_FALSE(iequals("nand", "NAND2"));
+  EXPECT_FALSE(iequals("nand2", "nand2"));  // the keyword side is upper-case
+  EXPECT_TRUE(istarts_with("Input(a)", "INPUT("));
+  EXPECT_FALSE(istarts_with("Inpu", "INPUT("));
+  EXPECT_FALSE(istarts_with("INPUT (a)", "INPUT("));
 }
 
 TEST(Strings, ParseNumbers) {

@@ -145,6 +145,21 @@ TEST_F(CliTest, FaultReportsCoverage) {
   EXPECT_NE(out_.str().find("stuck-at coverage"), std::string::npos);
 }
 
+TEST_F(CliTest, FaultWithoutStimulusIsAUsageError) {
+  const std::string netlist = write("and2.bench", kBench);
+  EXPECT_EQ(run({"fault", "--netlist", netlist}), 2);
+  EXPECT_NE(err_.str().find("usage error: fault needs --stim F (or --atpg)\n"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(out_.str(), "");
+
+  // A stimulus file without a single edge is an input error naming the file.
+  const std::string quiet = write("quiet.stim", "slew 0.4\ninit a 1\ninit b 1\n");
+  EXPECT_EQ(run({"fault", "--netlist", netlist, "--stim", quiet}), 1);
+  EXPECT_EQ(err_.str(), "error: stimulus file '" + quiet + "' has no edges to fault-simulate\n");
+  EXPECT_EQ(out_.str(), "");
+}
+
 TEST_F(CliTest, FaultCampaignRunsAndSerialEngineIsGone) {
   const std::string netlist = write("and2.bench", kBench);
   const std::string stim = write("and2.stim", kStim);

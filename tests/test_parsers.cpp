@@ -173,6 +173,137 @@ TEST_F(ParsersTest, BenchMalformedDecksRaiseLineNumberedErrors) {
   // Unbalanced parenthesis and empty operand.
   expect_bench_error_on_line("INPUT(a)\nOUTPUT(y)\ny = NOT(a\n", 3, lib_);
   expect_bench_error_on_line("INPUT(a)\nOUTPUT(y)\ny = AND(a,,a)\n", 3, lib_);
+  // An INPUT declared after the gate that drives it names both lines.
+  for (const int line : {2, 3}) {
+    expect_bench_error_on_line("INPUT(a)\ny = NOT(a)\nINPUT(y)\n", line, lib_);
+  }
+  // An OUTPUT that nothing defines names its own line.
+  expect_bench_error_on_line("INPUT(a)\nOUTPUT(zz)\ny = NOT(a)\n", 2, lib_);
+}
+
+/// The exact text of every `.bench` diagnostic, one deck per message.  A
+/// deck with several faults reports the first in the reader's check order:
+/// line by line, then fanins, then cycles, then instantiation, then OUTPUTs.
+TEST_F(ParsersTest, BenchDiagnosticsAreExact) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"INPUT(a\n", "bench: malformed port on line 1"},
+      {"INPUT(a)\noutput(y\n", "bench: malformed port on line 2"},
+      {"INPUT(a)\nINPUT( )\n", "bench: empty port name on line 2"},
+      {"INPUT(a)\nInput(a)\n", "bench: duplicate INPUT 'a' on line 2"},
+      {"INPUT(a)\ny NOT(a)\n", "bench: expected assignment on line 2"},
+      {"INPUT (a)\n", "bench: expected assignment on line 1"},
+      {"INPUT(a)\ny = NOT(a\n", "bench: malformed gate on line 2"},
+      {"INPUT(a)\ny = NOT a)\n", "bench: malformed gate on line 2"},
+      {"INPUT(a)\nq = DFF(a)\n",
+       "bench: sequential element on line 2 (HALOTIS simulates combinational logic)"},
+      {"INPUT(a)\nq = dffsr(a)\n",
+       "bench: sequential element on line 2 (HALOTIS simulates combinational logic)"},
+      {"INPUT(a)\ny = AND(a,,a)\n", "bench: empty operand on line 2"},
+      {"INPUT(a)\ny = AND()\n", "bench: empty operand on line 2"},
+      {"INPUT(a)\n = NOT(a)\n", "bench: empty gate output name on line 2"},
+      {"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ny = OR(a, b)\n",
+       "bench: duplicate definition of 'y' on line 5 (first defined on line 4)"},
+      {"INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = AND(b, b)\ny = NOT(a)\n",
+       "bench: gate on line 4 redefines INPUT 'a' (declared on line 1)"},
+      {"INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n", "bench: undeclared fanin 'ghost' on line 3"},
+      {"INPUT(a)\nOUTPUT(y)\nu = AND(a, v)\nv = AND(a, u)\ny = AND(u, v)\n",
+       "bench: cyclic definition of 'u' on line 3 (reached again from 'v' on line 4)"},
+      {"INPUT(a)\nOUTPUT(y)\ny = AND(a, y)\n",
+       "bench: cyclic definition of 'y' on line 3 (reached again from 'y' on line 3)"},
+      {"INPUT(a)\nINPUT(b)\ny = NOT(a, b)\n", "bench: NOT takes one input (line 3)"},
+      {"INPUT(a)\nINPUT(b)\ny = inv(a, b)\n", "bench: NOT takes one input (line 3)"},
+      {"INPUT(a)\nINPUT(b)\ny = BUF(a, b)\n", "bench: BUFF takes one input (line 3)"},
+      {"y = frob(a)\nINPUT(a)\n", "bench: unknown gate 'FROB' on line 1"},
+      // Check order: an unknown operator is only met at instantiation, after
+      // every fanin has been resolved.
+      {"y = FROB(a)\nz = AND(a, ghost)\nINPUT(a)\n", "bench: undeclared fanin 'ghost' on line 2"},
+      {"INPUT(a)\nOUTPUT(zz)\ny = NOT(a)\n", "bench: OUTPUT 'zz' on line 2 never defined"},
+      {"INPUT(a)\ny = NOT(a)\nINPUT(y)\n",
+       "bench: INPUT 'y' on line 3 is already defined by the gate on line 2"},
+      // A user name that collides with the wide-gate decomposition's
+      // synthetic nets is reported by the netlist.
+      {"INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(bench_t0)\ny = AND(a, b, c, bench_t0, a)\n",
+       "Netlist::add_signal(): duplicate signal name 'bench_t0'"},
+  };
+  for (const auto& [deck, message] : cases) {
+    try {
+      (void)read_bench(deck, lib_);
+      ADD_FAILURE() << "accepted:\n" << deck;
+    } catch (const ContractViolation& e) {
+      EXPECT_STREQ(e.what(), message) << "deck:\n" << deck;
+    }
+  }
+  try {
+    (void)read_bench_file("/nonexistent/none.bench", lib_);
+    ADD_FAILURE() << "opened a missing file";
+  } catch (const ContractViolation& e) {
+    EXPECT_STREQ(e.what(), "bench: cannot open file '/nonexistent/none.bench'");
+  }
+}
+
+/// Signal and gate IDs, names and cells for a deck that exercises every
+/// lexical form the reader accepts: lower- and mixed-case keywords, CRLF
+/// line ends, comments, INPUTs after the gates that read them, gates used
+/// before their definition, and 9-input NAND / XNOR trees.  History hashes
+/// depend on this order.
+TEST_F(ParsersTest, BenchIdOrderIsPinned) {
+  const std::string deck =
+      "# mixed deck\r\n"
+      "input(a)\r\n"
+      "INPUT(b)  # second input\r\n"
+      "output(y)\r\n"
+      "Output(z)\r\n"
+      "OUTPUT(n1)\r\n"
+      "n2 = nand(n1, c)\r\n"
+      "   n1 = And( a , b )   \r\n"
+      "\r\n"
+      "INPUT(c)\r\n"
+      "y = NAND(a, b, c, d, e, f, g, h, n2)\r\n"
+      "z = xnor(h, g, f, e, d, c, b, a, n3)  # 9-input parity\r\n"
+      "input(d)\r\ninput(e)\r\ninput(f)\r\ninput(g)\r\ninput(h)\r\n"
+      "n3 = buff(n2)\r\n"
+      "n4 = NOT(n3)";
+  const Netlist nl = read_bench(deck, lib_);
+  std::string dump;
+  for (std::size_t s = 0; s < nl.num_signals(); ++s) {
+    const Signal& sig = nl.signal(SignalId{static_cast<SignalId::underlying_type>(s)});
+    dump += sig.name;
+    dump += sig.is_primary_input ? "(pi)" : "";
+    dump += sig.is_primary_output ? "(po)" : "";
+    dump += ' ';
+  }
+  dump += '\n';
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    const GateId id{static_cast<GateId::underlying_type>(g)};
+    const Gate& gate = nl.gate(id);
+    dump += gate.name + '=' + nl.cell_of(id).name + '(';
+    for (const SignalId in : gate.inputs) dump += nl.signal(in).name + ',';
+    dump += ")->" + nl.signal(gate.output).name + '\n';
+  }
+  EXPECT_EQ(dump,
+            "a(pi) b(pi) c(pi) d(pi) e(pi) f(pi) g(pi) h(pi) n2 n1(po) y(po) z(po) n3 n4 "
+            "bench_t0 bench_t1 bench_t2 bench_t3 bench_t4 bench_t5 bench_t6 bench_t7 "
+            "bench_t8 bench_t9 bench_t10 bench_t11 bench_t12 bench_t13 \n"
+            "g_n2=NAND2_X1(n1,c,)->n2\n"
+            "g_n1=AND2_X1(a,b,)->n1\n"
+            "bench_g0=AND2_X1(a,b,)->bench_t0\n"
+            "bench_g1=AND2_X1(c,d,)->bench_t1\n"
+            "bench_g2=AND2_X1(e,f,)->bench_t2\n"
+            "bench_g3=AND2_X1(g,h,)->bench_t3\n"
+            "bench_g4=AND2_X1(bench_t0,bench_t1,)->bench_t4\n"
+            "bench_g5=AND2_X1(bench_t2,bench_t3,)->bench_t5\n"
+            "bench_g6=AND2_X1(bench_t4,bench_t5,)->bench_t6\n"
+            "g_y=NAND2_X1(bench_t6,n2,)->y\n"
+            "bench_g7=XOR2_X1(h,g,)->bench_t7\n"
+            "bench_g8=XOR2_X1(f,e,)->bench_t8\n"
+            "bench_g9=XOR2_X1(d,c,)->bench_t9\n"
+            "bench_g10=XOR2_X1(b,a,)->bench_t10\n"
+            "bench_g11=XOR2_X1(bench_t7,bench_t8,)->bench_t11\n"
+            "bench_g12=XOR2_X1(bench_t9,bench_t10,)->bench_t12\n"
+            "bench_g13=XOR2_X1(bench_t11,bench_t12,)->bench_t13\n"
+            "g_z=XNOR2_X1(bench_t13,n3,)->z\n"
+            "g_n3=BUF_X1(n2,)->n3\n"
+            "g_n4=INV_X1(n3,)->n4\n");
 }
 
 TEST_F(ParsersTest, BenchFixtureLoadsAndMatchesGenerator) {
